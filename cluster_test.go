@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -68,8 +67,8 @@ func newTestCluster(t *testing.T, n int, optsFor func(i int) ServeOptions, copts
 
 func plainOpts(int) ServeOptions { return ServeOptions{} }
 
-// randClusterSpec builds a deterministic random spec request body with
-// enough on-chip groups to clear the subtree-distribution gate.
+// randClusterSpec builds a deterministic random spec request body with 5–7
+// on-chip groups, enough for the branch-and-bound to split its tree.
 func randClusterSpec(t *testing.T, seed int64) string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -112,25 +111,18 @@ func postURL(t *testing.T, url, path, body string) (*http.Response, []byte) {
 // --- determinism at any node count ---
 
 // TestClusterDeterminismAnyNodeCount is the acceptance pin: for random
-// specs and a demo run, every front node of a 3-node cluster (routing,
-// hedging, incumbent sharing, and subtree distribution all live) returns
-// byte-identical response bodies to a plain single node.
+// specs and a demo run, every front node of a 3-node cluster (routing and
+// hedging live) returns byte-identical response bodies to a plain single
+// node.
 func TestClusterDeterminismAnyNodeCount(t *testing.T) {
 	solo := NewServer(ServeOptions{})
 	soloTS := httptest.NewServer(solo.Handler())
 	defer soloTS.Close()
 	defer solo.Abort()
 
-	tc := newTestCluster(t, 3, plainOpts, ClusterOptions{
-		HedgeDelay:       20 * time.Millisecond,
-		SubtreeMinGroups: 4, // exercise distribution on the small test specs
-	})
+	tc := newTestCluster(t, 3, plainOpts, ClusterOptions{HedgeDelay: 20 * time.Millisecond})
 
-	bodies := []string{`{"demo": {"size": 16, "seed": 9}}`}
-	for seed := int64(0); seed < 5; seed++ {
-		bodies = append(bodies, randClusterSpec(t, seed))
-	}
-	for bi, body := range bodies {
+	for bi, body := range goldenExploreRequests(t) {
 		resp, ref := postURL(t, soloTS.URL, "/v1/explore", body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("body %d: solo status %d: %s", bi, resp.StatusCode, ref)
@@ -156,7 +148,7 @@ func TestClusterBatchRouting(t *testing.T) {
 	defer soloTS.Close()
 	defer solo.Abort()
 
-	tc := newTestCluster(t, 3, plainOpts, ClusterOptions{SubtreeMinGroups: -1})
+	tc := newTestCluster(t, 3, plainOpts, ClusterOptions{})
 
 	var items []string
 	for seed := int64(10); seed < 18; seed++ {
@@ -215,10 +207,9 @@ func TestClusterPeerKillZeroFailures(t *testing.T) {
 	defer solo.Abort()
 
 	tc := newTestCluster(t, 3, plainOpts, ClusterOptions{
-		HedgeDelay:       15 * time.Millisecond,
-		EjectAfter:       1,
-		EjectFor:         time.Hour,
-		SubtreeMinGroups: -1,
+		HedgeDelay: 15 * time.Millisecond,
+		EjectAfter: 1,
+		EjectFor:   time.Hour,
 	})
 
 	var bodies, refs []string
@@ -261,10 +252,9 @@ func TestClusterHedgedCompletion(t *testing.T) {
 	defer nodeTS.Close()
 	defer node.Abort()
 	if err := node.JoinCluster(ClusterOptions{
-		Self:             nodeTS.URL,
-		Peers:            []string{stub.URL},
-		HedgeDelay:       10 * time.Millisecond,
-		SubtreeMinGroups: -1,
+		Self:       nodeTS.URL,
+		Peers:      []string{stub.URL},
+		HedgeDelay: 10 * time.Millisecond,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +323,7 @@ func TestClusterTracePropagation(t *testing.T) {
 	tc := newTestCluster(t, 2, func(i int) ServeOptions {
 		sinks[i] = &spanSink{}
 		return ServeOptions{Obs: obs.New(sinks[i])}
-	}, ClusterOptions{SubtreeMinGroups: -1})
+	}, ClusterOptions{})
 
 	// Find a spec that node 0 does not own, so posting it to node 0 forwards.
 	var body string
@@ -383,66 +373,49 @@ func TestClusterTracePropagation(t *testing.T) {
 	}
 }
 
-// --- incumbent exchange over the wire ---
-
-func TestClusterIncumbentEndpointAndBroadcast(t *testing.T) {
-	tc := newTestCluster(t, 2, plainOpts, ClusterOptions{SubtreeMinGroups: -1})
-
-	// Direct merge through the wire endpoint.
-	key := "spec|test|bb|shared-key"
-	post := func(url string, bits uint64) int {
-		body := fmt.Sprintf(`{"key": %q, "bits": "%d"}`, key, bits)
-		req, _ := http.NewRequest(http.MethodPost, url+"/v1/internal/incumbent", strings.NewReader(body))
-		req.Header.Set(clusterInternalHeader, "1")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	if st := post(tc.urls[1], math.Float64bits(42)); st != http.StatusNoContent {
-		t.Fatalf("incumbent post status %d", st)
-	}
-	if bits, ok := tc.servers[1].cluster.board.Best(key); !ok || math.Float64frombits(bits) != 42 {
-		t.Fatalf("board after merge: %v %v", bits, ok)
-	}
-	if st := post(tc.urls[1], math.Float64bits(50)); st != http.StatusNoContent {
-		t.Fatalf("worse incumbent post status %d", st)
-	}
-	if bits, _ := tc.servers[1].cluster.board.Best(key); math.Float64frombits(bits) != 42 {
-		t.Fatal("a worse remote cost must not raise the board")
-	}
-
-	// A local publish on node 0 broadcasts to node 1 (best-effort, so poll).
-	tc.servers[0].cluster.board.Publish(key, math.Float64bits(7))
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if bits, ok := tc.servers[1].cluster.board.Best(key); ok && math.Float64frombits(bits) == 7 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("published incumbent never reached the peer board")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
+// TestClusterInternalEndpoints404Solo: the retired incumbent-exchange and
+// subtree-search routes are absent on a solo server and on a cluster node,
+// even for requests marked as coming from a peer. At a cluster node a bound
+// posted there used to prune searches, so a forged bound below the optimum
+// returned the greedy organization labelled optimal; the explore after the
+// posts must still match the golden bytes.
 func TestClusterInternalEndpoints404Solo(t *testing.T) {
 	solo := NewServer(ServeOptions{})
 	ts := httptest.NewServer(solo.Handler())
 	defer ts.Close()
 	defer solo.Abort()
-	for _, path := range []string{"/v1/internal/incumbent", "/v1/internal/subtree"} {
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader("{}"))
-		if err != nil {
-			t.Fatal(err)
+	tc := newTestCluster(t, 2, plainOpts, ClusterOptions{})
+
+	bodies := map[string]string{
+		"/v1/internal/incumbent": `{"key": "forged", "bits": "0"}`,
+		"/v1/internal/subtree":   `{}`,
+	}
+	for _, url := range []string{ts.URL, tc.urls[0]} {
+		for path, body := range bodies {
+			req, err := http.NewRequest(http.MethodPost, url+path, strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set(clusterInternalHeader, "1")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("POST %s%s: status %d, want 404", url, path, resp.StatusCode)
+			}
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("%s on a solo server: status %d, want 404", path, resp.StatusCode)
+	}
+	want := goldenExploreBodies(t)
+	for i, body := range goldenExploreRequests(t)[1:] {
+		resp, got := postURL(t, tc.urls[0], "/v1/explore", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("spec %d: status %d: %s", i, resp.StatusCode, got)
+		}
+		if string(got) != want[i+1] {
+			t.Fatalf("spec %d: body diverged from golden after the posts\n got: %s\nwant: %s", i, got, want[i+1])
 		}
 	}
 }
@@ -451,7 +424,7 @@ func TestClusterInternalEndpoints404Solo(t *testing.T) {
 
 func TestClusterMetricsFamilies(t *testing.T) {
 	tc := newTestCluster(t, 2, func(int) ServeOptions { return ServeOptions{Obs: obs.New()} },
-		ClusterOptions{SubtreeMinGroups: -1})
+		ClusterOptions{})
 	// Drive enough traffic that at least one request routes each way.
 	for seed := int64(40); seed < 46; seed++ {
 		resp, body := postURL(t, tc.urls[0], "/v1/explore", randClusterSpec(t, seed))
@@ -467,7 +440,7 @@ func TestClusterMetricsFamilies(t *testing.T) {
 	prom, _ := io.ReadAll(resp.Body)
 	for _, family := range []string{
 		"dtse_cluster_routed_total", "dtse_cluster_local_total", "dtse_cluster_peer_rtt",
-		"dtse_cluster_peers 1", "dtse_cluster_peers_alive 1", "dtse_cluster_incumbents",
+		"dtse_cluster_peers 1", "dtse_cluster_peers_alive 1",
 	} {
 		if !strings.Contains(string(prom), family) {
 			t.Fatalf("/metrics missing %s after cluster traffic:\n%s", family, prom)
@@ -539,17 +512,17 @@ func TestRetryAfterSeconds(t *testing.T) {
 		typical         time.Duration
 		want            int
 	}{
-		{0, 1, time.Second, 1},                  // empty queue: one typical wait
-		{0, 4, time.Second, 1},                  // wide server, empty queue
-		{3, 1, time.Second, 4},                  // 3 queued + us = 4 waves
-		{3, 4, time.Second, 1},                  // 4 slots drain all 4 in one wave
-		{8, 2, 500 * time.Millisecond, 3},       // ceil(ceil(9/2)=5 waves * 0.5s)
-		{10, 4, 2 * time.Second, 6},             // ceil(11/4)=3 waves * 2s
-		{0, 1, 0, 1},                            // no latency signal: flat second
-		{0, 0, time.Second, 1},                  // degenerate concurrency clamps
-		{100, 1, 50 * time.Millisecond, 6},      // long queue, fast requests
-		{5, 2, 10 * time.Millisecond, 1},        // sub-second rounds up to 1
-		{2, 1, 1500 * time.Millisecond, 5},      // fractional seconds: ceil(3*1.5)
+		{0, 1, time.Second, 1},             // empty queue: one typical wait
+		{0, 4, time.Second, 1},             // wide server, empty queue
+		{3, 1, time.Second, 4},             // 3 queued + us = 4 waves
+		{3, 4, time.Second, 1},             // 4 slots drain all 4 in one wave
+		{8, 2, 500 * time.Millisecond, 3},  // ceil(ceil(9/2)=5 waves * 0.5s)
+		{10, 4, 2 * time.Second, 6},        // ceil(11/4)=3 waves * 2s
+		{0, 1, 0, 1},                       // no latency signal: flat second
+		{0, 0, time.Second, 1},             // degenerate concurrency clamps
+		{100, 1, 50 * time.Millisecond, 6}, // long queue, fast requests
+		{5, 2, 10 * time.Millisecond, 1},   // sub-second rounds up to 1
+		{2, 1, 1500 * time.Millisecond, 5}, // fractional seconds: ceil(3*1.5)
 	}
 	for _, c := range cases {
 		if got := retryAfterSeconds(c.queued, c.maxConc, c.typical); got != c.want {

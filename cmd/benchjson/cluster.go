@@ -99,10 +99,9 @@ func clusterWorkload() ([]string, error) {
 			return nil, err
 		}
 		// The budget must be generous enough for every search to complete
-		// optimally: in cluster mode a cut-short (non-optimal) result is
-		// volatile — cross-node bounds make it history-dependent — so it
-		// would never be cached and the sweep would measure recompute on
-		// every leg.
+		// optimally: a cut-short (non-optimal) warm-started result is
+		// volatile — the seed makes it history-dependent — so it would
+		// never be cached and the sweep would measure recompute.
 		bodies = append(bodies, fmt.Sprintf(`{"spec": %s, "budget": 20000000}`, buf.String()))
 	}
 	return bodies, nil

@@ -64,7 +64,7 @@ type Params struct {
 	// one worker, the branch-and-bound and the off-chip partition scan split
 	// their search trees into independent subproblems solved in parallel
 	// with a shared incumbent bound; results are byte-identical at any
-	// width. Nil (or a 1-wide pool) runs the sequential search.
+	// width. Nil (or a 1-wide pool) runs one search worker inline.
 	Workers *pool.Pool
 	// Seed is an optional warm-start hint: a feasible on-chip assignment of
 	// a neighbouring problem, as group name -> memory slot. It is re-priced
@@ -75,26 +75,6 @@ type Params struct {
 	// every on-chip group, use a different memory count, or violate a port
 	// constraint here are rejected (counted as assign.seed_rejected).
 	Seed map[string]int
-	// Share, together with ShareKey, exchanges incumbent costs with
-	// concurrent searches of the same keyed problem — hedged duplicates on
-	// other cluster nodes, distributed subtree ranges. External bounds
-	// prune with strict > only (the shared-bound rule of parallel.go), so
-	// the exchange tightens searches without ever changing which
-	// organization a completed search returns. Nil disables it.
-	Share BoundShare
-	// ShareKey namespaces the Share exchange, typically the serving
-	// layer's canonical request key; the search appends its own problem
-	// discriminators (see problem.shareKey). Empty disables the exchange.
-	ShareKey string
-	// Distribute, when set, offers large branch-and-bound searches to the
-	// serving layer for cross-node subtree distribution (see subtree.go).
-	// The hook may decline; the search then runs locally. Results of
-	// completed searches are byte-identical either way.
-	Distribute DistributeFunc
-	// DistributeWidth is the node count Distribute can spread over, sizing
-	// the split frontier (~4 subproblems per node). < 2 disables
-	// distribution.
-	DistributeWidth int
 }
 
 func (p *Params) normalize() {
@@ -145,8 +125,6 @@ type Assignment struct {
 type problem struct {
 	tech   *memlib.Tech
 	p      Params
-	s      *spec.Spec    // source spec, kept for the Distribute hook's wire format
-	pats   []sbd.Pattern // source patterns, same reason
 	groups []spec.BasicGroup // the groups being partitioned
 	acc    []uint64          // accesses per frame, per group
 	patVec [][]int           // group -> per-pattern multiplicity
@@ -159,7 +137,7 @@ type problem struct {
 }
 
 func buildProblem(s *spec.Spec, groups []spec.BasicGroup, pats []sbd.Pattern, tech *memlib.Tech, p Params) *problem {
-	pr := &problem{tech: tech, p: p, s: s, pats: pats, groups: groups, nPat: len(pats), nLoops: len(s.Loops)}
+	pr := &problem{tech: tech, p: p, groups: groups, nPat: len(pats), nLoops: len(s.Loops)}
 	pr.acc = make([]uint64, len(groups))
 	pr.patVec = make([][]int, len(groups))
 	pr.patIdx = make([][]int, len(groups))
@@ -477,90 +455,11 @@ func AssignContext(ctx context.Context, s *spec.Spec, pats []sbd.Pattern, tech *
 	return a, nil
 }
 
-// bestOffChip searches all set partitions of the off-chip groups (at most a
-// handful) for the cheapest feasible device packing. When ctx is done, the
-// search stops at the best feasible packing found so far (it keeps running
-// until one exists, so a feasible problem always yields a result) and the
-// returned optimal flag is false.
-func bestOffChip(ctx context.Context, pr *problem, sp *obs.Span) ([]Binding, float64, bool, error) {
-	n := len(pr.groups)
-	if n == 0 {
-		return nil, 0, true, nil
-	}
-	if n > 8 {
-		return nil, 0, false, fmt.Errorf("assign: %d off-chip groups exceed the partition-search limit", n)
-	}
-	if wp := pr.p.Workers; wp.Workers() > 1 && n >= minParallelOffChip {
-		return bestOffChipParallel(ctx, pr, sp, wp)
-	}
-	bestPower := math.Inf(1)
-	var bestParts [][]int
-	partitions := 0
-	done := ctx.Done()
-	cancelChecks := 0
-	stopped := false
-	assignTo := make([]int, n)
-	var rec func(i, used int)
-	rec = func(i, used int) {
-		if stopped {
-			return
-		}
-		if i == n {
-			partitions++
-			if done != nil && partitions%cancelCheckInterval == 0 && bestParts != nil {
-				cancelChecks++
-				select {
-				case <-done:
-					stopped = true
-					return
-				default:
-				}
-			}
-			parts, total, feasible := pr.partitionPower(assignTo[:n], used)
-			if !feasible {
-				return
-			}
-			if total < bestPower {
-				bestPower = total
-				bestParts = make([][]int, len(parts))
-				for i := range parts {
-					bestParts[i] = append([]int(nil), parts[i]...)
-				}
-			}
-			return
-		}
-		for m := 0; m <= used && m < n; m++ {
-			assignTo[i] = m
-			nu := used
-			if m == used {
-				nu++
-			}
-			rec(i+1, nu)
-		}
-	}
-	rec(0, 0)
-	sp.SetInt("offchip_partitions", int64(partitions))
-	if o := sp.Observer(); o != nil && cancelChecks > 0 {
-		o.Counter("assign.cancel_points").Add(int64(cancelChecks))
-		if stopped {
-			o.Counter("assign.deadline_fallbacks").Add(1)
-		}
-	}
-	if math.IsInf(bestPower, 1) {
-		return nil, 0, false, fmt.Errorf("assign: no feasible off-chip packing (port demand exceeds %d)", pr.p.MaxPorts)
-	}
-	binds, err := offChipBinds(pr, bestParts)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	return binds, bestPower, !stopped, nil
-}
-
 // partitionPower prices one complete partition (assignTo maps each group to
 // a memory in [0,used)), returning the member lists and total power.
-// feasible is false when any part's port demand exceeds the cap. Both
-// off-chip search modes price partitions through this one function, so the
-// accumulation order — and the float result — is identical.
+// feasible is false when any part's port demand exceeds the cap. Every
+// off-chip worker prices partitions through this one function, so the
+// accumulation order — and the float result — does not depend on the split.
 func (pr *problem) partitionPower(assignTo []int, used int) (parts [][]int, total float64, feasible bool) {
 	parts = make([][]int, used)
 	for gi, m := range assignTo {
@@ -622,11 +521,11 @@ func offChipBinds(pr *problem, bestParts [][]int) ([]Binding, error) {
 // components separate.
 const areaWeight = 0.3
 
-// bbPre is the search-independent precomputation shared by the sequential
-// and parallel branch-and-bound: the decision order, the admissible
-// lower-bound tail sums, and the per-empty-memory bound term. Both search
-// modes derive it from the same code so their float arithmetic — and hence
-// their pruning decisions and costs — is bitwise identical.
+// bbPre is the search-independent precomputation shared by the split
+// enumerator and every branch-and-bound worker: the decision order, the
+// admissible lower-bound tail sums, and the per-empty-memory bound term.
+// All of them read it from this one place, so their float arithmetic — and
+// hence their pruning decisions and costs — is bitwise identical.
 type bbPre struct {
 	order     []int     // decision order: group indices, decreasing weight
 	lbTail    []float64 // lbTail[i]: lower bound of groups order[i:]
@@ -685,8 +584,8 @@ func (pr *problem) bbPrecompute() bbPre {
 // decision order) goes to the memory with the minimal marginal cost, forced
 // to leave room so every allocated memory ends up used. It returns the
 // assignment (group index -> memory) and its cost; ok is false when greedy
-// finds no feasible placement. Both search modes seed their incumbent from
-// this one function, so the baseline cost is bitwise identical.
+// finds no feasible placement. The branch-and-bound seeds its incumbent
+// from it.
 func greedyIncumbent(pr *problem, maxMem int, pre *bbPre) (assign []int, cost float64, ok bool) {
 	n := len(pr.groups)
 	mems := newMemStates(pr, maxMem)
@@ -788,246 +687,6 @@ func seedIncumbent(pr *problem, maxMem int, pre *bbPre) (assign []int, cost floa
 		curCost += memCost[m] - oldCost
 	}
 	return assignTo, curCost, true
-}
-
-// branchAndBound finds the cheapest assignment of pr.groups into exactly
-// maxMem on-chip memories (clamped to the group count: the designer
-// allocated them, the tool uses them — Table 4's sweep axis).
-//
-// The search is anytime: the greedy first-fit incumbent is computed before
-// the exact search starts, so when ctx is already done the exact search is
-// skipped entirely, and when ctx expires mid-search (polled every
-// cancelCheckInterval nodes) the best incumbent found so far is returned.
-// Both cases report optimal=false.
-//
-// With a worker pool wider than one, a large enough problem is handed to
-// branchAndBoundParallel, which splits the search tree into independent
-// subproblems and returns byte-identical results for completed searches.
-func branchAndBound(ctx context.Context, pr *problem, maxMem int, sp *obs.Span) ([]Binding, float64, float64, bool, error) {
-	n := len(pr.groups)
-	if n == 0 {
-		return nil, 0, 0, true, nil
-	}
-	if maxMem > n {
-		maxMem = n
-	}
-	if pr.p.Distribute != nil && n >= minParallelGroups && pr.p.NodeBudget >= minParallelBudget {
-		if binds, area, power, optimal, handled, err := branchAndBoundDistributed(ctx, pr, maxMem, sp); handled {
-			return binds, area, power, optimal, err
-		}
-	}
-	if wp := pr.p.Workers; wp.Workers() > 1 && n >= minParallelGroups && pr.p.NodeBudget >= minParallelBudget {
-		return branchAndBoundParallel(ctx, pr, maxMem, sp, wp)
-	}
-	pre := pr.bbPrecompute()
-	order, lbTail, emptyTerm := pre.order, pre.lbTail, pre.emptyTerm
-	prog := pr.p.Progress
-	prog.SetBound(lbTail[0] + float64(maxMem)*pre.emptyTerm)
-
-	mems := newMemStates(pr, maxMem)
-	// members[m] grows one entry per descent level; total membership never
-	// exceeds n, so one flat n-per-memory backing absorbs every append.
-	members := make([][]int, maxMem)
-	memberBuf := make([]int, maxMem*n)
-	for i := range members {
-		members[i] = memberBuf[i*n : i*n : (i+1)*n]
-	}
-	memCost := make([]float64, maxMem) // area+power of each memory
-	var curCost float64
-	emptyCnt := maxMem // memories with no member yet, maintained incrementally
-
-	bestCost := math.Inf(1)
-	bestAssign := make([]int, n) // group index -> memory
-	curAssign := make([]int, n)
-
-	// Cross-search incumbent exchange (cluster mode): publish the feasible
-	// costs this search finds, prune with strict > against the best cost any
-	// concurrent search of the same keyed problem published. Strict > keeps
-	// completed results byte-identical (see parallel.go rule 2); the
-	// exchange only shrinks the visited node count.
-	shareKey := ""
-	if pr.p.Share != nil {
-		shareKey = pr.shareKey(maxMem)
-	}
-	extBound := math.Inf(1)
-	refreshExt := func() {
-		if shareKey == "" {
-			return
-		}
-		if bits, ok := pr.p.Share.Best(shareKey); ok {
-			if v := math.Float64frombits(bits); v < extBound {
-				extBound = v
-			}
-		}
-	}
-	publish := func(c float64) {
-		if shareKey != "" {
-			pr.p.Share.Publish(shareKey, math.Float64bits(c))
-		}
-	}
-
-	if gAssign, gCost, ok := greedyIncumbent(pr, maxMem, &pre); ok {
-		bestCost = gCost
-		copy(bestAssign, gAssign)
-		prog.SetIncumbent(gCost)
-		publish(gCost)
-	}
-	seeded := false
-	if pr.p.Seed != nil {
-		if sAssign, sCost, ok := seedIncumbent(pr, maxMem, &pre); ok {
-			// Adopt one ulp above the seed's own cost: the bound prunes with
-			// >=, so the canonical leaf that ties the seed still updates the
-			// incumbent and a completed search stays byte-identical to cold.
-			if sb := math.Nextafter(sCost, math.Inf(1)); sb < bestCost {
-				bestCost = sb
-				copy(bestAssign, sAssign)
-				seeded = true
-				prog.SetIncumbent(sCost)
-				publish(sCost)
-			}
-		}
-	}
-	refreshExt()
-
-	// Search-effort counters: plain locals inside the hot loop, emitted once
-	// at the end so the instrumented search runs at full speed.
-	nodes := 0
-	prunedLB := 0
-	prunedExt := 0
-	portRejects := 0
-	exhausted := false
-	stopped := false // ctx deadline/cancellation hit (vs. node-budget exhaustion)
-	done := ctx.Done()
-	cancelChecks := 0
-	if done != nil {
-		// Entry check: an already-expired context skips the exact search
-		// entirely and returns the greedy incumbent.
-		cancelChecks++
-		select {
-		case <-done:
-			stopped = true
-		default:
-		}
-	}
-	var dfs func(step int)
-	dfs = func(step int) {
-		if exhausted || stopped {
-			return
-		}
-		nodes++
-		if nodes > pr.p.NodeBudget {
-			exhausted = true
-			return
-		}
-		if nodes%cancelCheckInterval == 0 {
-			prog.AddNodes(cancelCheckInterval)
-			refreshExt()
-			if done != nil {
-				cancelChecks++
-				select {
-				case <-done:
-					stopped = true
-					return
-				default:
-				}
-			}
-		}
-		if step == n {
-			if curCost < bestCost {
-				bestCost = curCost
-				copy(bestAssign, curAssign)
-				prog.SetIncumbent(bestCost)
-				publish(curCost)
-			}
-			return
-		}
-		v := curCost + lbTail[step] + float64(emptyCnt)*emptyTerm
-		if v >= bestCost {
-			prunedLB++
-			return
-		}
-		if v > extBound {
-			prunedExt++
-			return
-		}
-		gi := order[step]
-		mustOpen := n-step <= emptyCnt
-		for m := 0; m < maxMem; m++ {
-			if mems[m].nGroups == 0 && m > 0 && mems[m-1].nGroups == 0 {
-				break // symmetry breaking: open memories left to right
-			}
-			if mustOpen && mems[m].nGroups > 0 {
-				continue // every allocated memory must end up used
-			}
-			wasEmpty := mems[m].nGroups == 0
-			u := mems[m].push(pr, gi)
-			area, power, err := pr.onChipCost(mems[m])
-			if err == nil {
-				if wasEmpty {
-					emptyCnt--
-				}
-				oldCost := memCost[m]
-				memCost[m] = power + areaWeight*area
-				curCost += memCost[m] - oldCost
-				curAssign[gi] = m
-				members[m] = append(members[m], gi)
-				dfs(step + 1)
-				members[m] = members[m][:len(members[m])-1]
-				curCost -= memCost[m] - oldCost
-				memCost[m] = oldCost
-				if wasEmpty {
-					emptyCnt++
-				}
-			} else {
-				portRejects++
-			}
-			mems[m].pop(pr, gi, u)
-		}
-	}
-	if !stopped {
-		dfs(0)
-	}
-	prog.AddNodes(int64(nodes % cancelCheckInterval))
-	if sp != nil {
-		sp.SetInt("nodes", int64(nodes))
-		sp.SetInt("pruned_bound", int64(prunedLB))
-		sp.SetInt("port_rejections", int64(portRejects))
-		opt := int64(1)
-		if exhausted || stopped {
-			opt = 0
-		}
-		sp.SetInt("optimal", opt)
-		o := sp.Observer()
-		o.Counter("assign.nodes").Add(int64(nodes))
-		o.Counter("assign.pruned_bound").Add(int64(prunedLB))
-		o.Counter("assign.port_rejections").Add(int64(portRejects))
-		if prunedExt > 0 {
-			o.Counter("assign.pruned_external").Add(int64(prunedExt))
-		}
-		if cancelChecks > 0 {
-			o.Counter("assign.cancel_points").Add(int64(cancelChecks))
-		}
-		if stopped {
-			o.Counter("assign.deadline_fallbacks").Add(1)
-		}
-		if pr.p.Seed != nil {
-			if seeded {
-				o.Counter("assign.incumbent_seeded").Add(1)
-			} else {
-				o.Counter("assign.seed_rejected").Add(1)
-			}
-		}
-	}
-	if math.IsInf(bestCost, 1) {
-		return nil, 0, 0, false, fmt.Errorf(
-			"assign: no feasible on-chip assignment with %d memories (conflicts demand more)", maxMem)
-	}
-
-	binds, totalArea, totalPower, err := materializeOnChip(pr, maxMem, bestAssign)
-	if err != nil {
-		return nil, 0, 0, false, err
-	}
-	return binds, totalArea, totalPower, !exhausted && !stopped, nil
 }
 
 // materializeOnChip turns the winning assignment vector into memory

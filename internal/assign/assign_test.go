@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/memlib"
+	"repro/internal/pool"
 	"repro/internal/sbd"
 	"repro/internal/spec"
 )
@@ -288,17 +289,25 @@ func TestUnaccessedGroupIgnored(t *testing.T) {
 	}
 }
 
+// TestNodeBudgetFallsBackToGreedy: a budget of one node (what Greedy
+// passes) stops the exact search at the root at every pool width.
 func TestNodeBudgetFallsBackToGreedy(t *testing.T) {
 	s := mixedSpec(t)
-	a, err := Assign(s, nil, memlib.Default(), 3, Params{NodeBudget: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Optimal {
-		t.Fatal("budget-capped search claims optimality")
-	}
-	if len(a.OnChip) == 0 {
-		t.Fatal("no solution despite greedy incumbent")
+	for _, workers := range []int{0, 1, 2, 8} { // 0: nil pool
+		var wp *pool.Pool
+		if workers > 0 {
+			wp = pool.New(workers)
+		}
+		a, err := Assign(s, nil, memlib.Default(), 3, Params{NodeBudget: 1, Workers: wp})
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if a.Optimal {
+			t.Fatalf("workers %d: budget-capped search claims optimality", workers)
+		}
+		if len(a.OnChip) == 0 {
+			t.Fatalf("workers %d: no solution despite greedy incumbent", workers)
+		}
 	}
 }
 

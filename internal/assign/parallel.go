@@ -1,33 +1,37 @@
-// Multicore search: the parallel branch-and-bound and the parallel
-// off-chip partition scan.
+// The search drivers: the on-chip branch-and-bound and the off-chip
+// partition scan. Each runs one kind of worker (bbWorker, offWorker) over a
+// list of subproblems.
 //
-// Both searches split their tree at the top levels into independent
-// subproblems — the depth-k frontier of the *sequential* search tree, in
-// canonical DFS order — and let pool workers pull subproblems from a shared
-// counter. Determinism at any worker count rests on three rules:
+// With a worker pool wider than one and a large enough problem, the tree is
+// split at the top levels into independent subproblems — the depth-k
+// frontier of the search tree, in canonical DFS order — and pool workers
+// pull subproblems from a shared counter. Otherwise one worker runs inline
+// over the single root subproblem, which is the whole tree. Determinism at
+// any worker count rests on three rules:
 //
 //  1. A worker's own incumbent (localBest) is updated with strict <, and
-//     its subtree is pruned with >= localBest — exactly the sequential
-//     rules, so within one subproblem the recorded solution is the
-//     DFS-first cheapest one.
-//  2. The shared incumbent bound only ever prunes with strict >, so a
-//     subtree that could still contain a solution of globally minimal cost
-//     is never cut by another worker's progress; racing on the bound can
-//     only change how much work is done, never which solution wins.
+//     its subtree is pruned with >= localBest, so within one subproblem the
+//     recorded solution is the DFS-first cheapest one.
+//  2. The shared incumbent bound only ever prunes with strict >, and only
+//     ever holds the costs of feasible solutions this search found (or its
+//     greedy and warm-start entry incumbents), so a subtree that could
+//     still contain a solution of globally minimal cost is never cut by
+//     another worker's progress; racing on the bound can only change how
+//     much work is done, never which solution wins.
 //  3. The merge picks the minimum cost, breaking float ties by the lowest
 //     subproblem index (the greedy incumbent sits at index -1). Because a
 //     worker drains subproblem indices in increasing order, the candidate
 //     it records for the lowest optimum-bearing subproblem is exactly the
-//     solution the sequential DFS would have kept.
+//     solution a single worker over the whole tree would have kept.
 //
-// Cost floats compare bitwise-equal across modes because every path
+// Cost floats compare bitwise-equal across widths because every path
 // accumulates its cost through the same code in the same order
-// (bbPrecompute, greedyIncumbent, push/onChipCost, partitionPower are all
-// shared with the sequential search). Under cancellation or node-budget
-// exhaustion the search stays anytime — the best incumbent so far is
-// returned with Optimal=false — but the visiting order is then
-// timing-dependent, so byte-identical results are guaranteed only for
-// completed searches (Optimal=true), in either mode.
+// (bbPrecompute, greedyIncumbent, push/onChipCost, partitionPower). Under
+// cancellation or node-budget exhaustion the search stays anytime — the
+// best incumbent so far is returned with Optimal=false — but with more
+// than one worker the visiting order is then timing-dependent, so
+// byte-identical results across widths are guaranteed only for completed
+// searches (Optimal=true).
 package assign
 
 import (
@@ -37,25 +41,26 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
-	"repro/internal/pool"
 )
 
 const (
 	// minParallelGroups gates the parallel branch-and-bound: below this many
-	// groups the sequential search finishes in microseconds and splitting
-	// costs more than it saves.
+	// groups one inline worker finishes in microseconds and splitting costs
+	// more than it saves.
 	minParallelGroups = 4
-	// minParallelBudget keeps tiny node budgets on the sequential path,
-	// whose per-node budget check is exact (Greedy passes budget 1 to stop
-	// the exact search immediately); the parallel workers check the shared
-	// budget only in batches and would overshoot such budgets.
+	// minParallelBudget keeps tiny node budgets on one inline worker, whose
+	// budget check is exact (Greedy passes budget 1 to stop the exact search
+	// at the root); parallel workers flush into the shared budget in batches
+	// and can overshoot such budgets.
 	minParallelBudget = 4096
 	// minParallelOffChip gates the parallel off-chip partition scan.
 	minParallelOffChip = 4
 	// nodeFlushBatch is how many nodes a worker explores between flushes of
 	// its node count into the shared budget counter (and checks of the
-	// shared stop state). The budget can be overshot by at most
-	// workers×nodeFlushBatch nodes — anytime semantics absorb that.
+	// shared stop state). A worker never batches past the budget left at its
+	// last flush, so one worker stops exactly at the budget; several can
+	// overshoot it by at most workers×nodeFlushBatch nodes — anytime
+	// semantics absorb that.
 	nodeFlushBatch = 256
 	// maxSubproblems caps the split frontier; beyond ~4 subproblems per
 	// worker the scheduling overhead buys no extra load balance.
@@ -78,14 +83,6 @@ type bbShared struct {
 	nodes   atomic.Int64 // nodes visited session-wide, flushed in batches
 	state   atomic.Uint32
 	nextSub atomic.Int64 // next subproblem index to hand out
-
-	// share/key, when set, connect this search to the cross-node incumbent
-	// exchange: global improvements are published, and external bounds fold
-	// into bound at the flush points. bound already prunes with strict >
-	// only, so external costs obey the same determinism rule as every other
-	// worker's progress.
-	share BoundShare
-	key   string
 }
 
 // setState ORs a stop bit into the shared state (CAS loop; the atomic Or
@@ -103,48 +100,26 @@ func (sh *bbShared) setState(bit uint32) {
 }
 
 // tighten lowers the shared incumbent bound to c if c is smaller, counting
-// the CAS retries lost to concurrent improvements. It reports whether this
-// call improved the bound (the publish trigger of the cross-node exchange).
-func (sh *bbShared) tighten(c float64) bool {
+// the CAS retries lost to concurrent improvements.
+func (sh *bbShared) tighten(c float64) {
 	bits := math.Float64bits(c)
 	for {
 		cur := sh.bound.Load()
 		if bits >= cur {
-			return false
+			return
 		}
 		if sh.bound.CompareAndSwap(cur, bits) {
-			return true
+			return
 		}
 		sh.races.Add(1)
 	}
 }
 
-// refreshExternal folds the exchange's best known cost into the shared
-// bound. Called at worker flush points; a no-op without a share.
-func (sh *bbShared) refreshExternal() {
-	if sh.share == nil {
-		return
-	}
-	bits, ok := sh.share.Best(sh.key)
-	if !ok {
-		return
-	}
-	for {
-		cur := sh.bound.Load()
-		if bits >= cur {
-			return
-		}
-		if sh.bound.CompareAndSwap(cur, bits) {
-			return
-		}
-	}
-}
-
-// bbPrefixes enumerates the depth-k frontier of the sequential search tree:
-// every way to assign the first k groups (in decision order) to memories,
-// applying the same symmetry-breaking, must-open, port-feasibility, and
-// lower-bound rules the sequential dfs applies, with bound (the greedy
-// incumbent) as the pruning incumbent. Prefixes come out in canonical DFS
+// bbPrefixes enumerates the depth-k frontier of the search tree: every way
+// to assign the first k groups (in decision order) to memories, applying
+// the same symmetry-breaking, must-open, port-feasibility, and lower-bound
+// rules bbWorker.dfs applies, with bound (the greedy incumbent) as the
+// pruning incumbent. Prefixes come out in canonical DFS
 // order; visited counts the nodes expanded.
 func bbPrefixes(pr *problem, maxMem, k int, pre *bbPre, bound float64, mems []*memState) (prefixes [][]int16, visited int) {
 	n := len(pr.groups)
@@ -220,7 +195,7 @@ func chooseSplit(pr *problem, maxMem int, pre *bbPre, bound float64, workers int
 	return prefixes, depth, visited
 }
 
-// bbWorker is one pool worker's private search state: its own memory
+// bbWorker is one search worker's private state: its own memory
 // aggregates, undo-free replay buffers, incumbent, and counters. Nothing
 // here is shared; workers meet only at bbShared.
 type bbWorker struct {
@@ -230,6 +205,7 @@ type bbWorker struct {
 	maxMem int
 	n      int
 	budget int64
+	batch  int64 // nodes until the next flush into sh.nodes
 	done   <-chan struct{}
 	prog   *obs.Progress
 
@@ -254,9 +230,11 @@ type bbWorker struct {
 
 func newBBWorker(pr *problem, pre *bbPre, sh *bbShared, maxMem int, seed float64, done <-chan struct{}) *bbWorker {
 	n := len(pr.groups)
+	budget := int64(pr.p.NodeBudget)
 	return &bbWorker{
 		pr: pr, pre: pre, sh: sh, maxMem: maxMem, n: n,
-		budget:     int64(pr.p.NodeBudget),
+		budget:     budget,
+		batch:      flushBatch(budget, sh.nodes.Load()),
 		done:       done,
 		prog:       pr.p.Progress,
 		mems:       newMemStates(pr, maxMem),
@@ -266,6 +244,13 @@ func newBBWorker(pr *problem, pre *bbPre, sh *bbShared, maxMem int, seed float64
 		bestAssign: make([]int, n),
 		bestSub:    math.MaxInt,
 	}
+}
+
+// flushBatch is the node count a worker explores before its next flush,
+// given the budget and the nodes already flushed: never past the first
+// node over budget, so a lone worker exhausts at exactly budget+1 nodes.
+func flushBatch(budget, flushed int64) int64 {
+	return min(nodeFlushBatch, budget-flushed+1)
 }
 
 // run drains subproblem indices from the shared counter until the frontier
@@ -285,9 +270,9 @@ func (w *bbWorker) run(prefixes [][]int16) {
 }
 
 // solve replays one prefix onto fresh state and searches its subtree. The
-// replay goes through the same push/onChipCost sequence as the sequential
-// descent, so curCost at depth k is bitwise identical to the sequential
-// curCost at the same node.
+// replay goes through the same push/onChipCost sequence as dfs's own
+// descent, so curCost at depth k is bitwise identical to the curCost a
+// worker over the whole tree has at the same node.
 func (w *bbWorker) solve(idx int, prefix []int16) {
 	for i := range w.mems {
 		w.mems[i].reset()
@@ -315,22 +300,24 @@ func (w *bbWorker) solve(idx int, prefix []int16) {
 	w.dfs(len(prefix), idx)
 }
 
-// dfs is the sequential dfs with the incumbent split in two: the local best
-// prunes with >= (DFS-first semantics), the shared bound with strict > (so
-// no other worker's progress can cut a potential co-optimal solution).
+// dfs is the depth-first branch-and-bound over one subtree, with the
+// incumbent split in two: the local best prunes with >= (DFS-first
+// semantics), the shared bound with strict > (so no other worker's
+// progress can cut a potential co-optimal solution).
 func (w *bbWorker) dfs(step, subIdx int) {
 	if w.halted {
 		return
 	}
 	w.nodes++
 	w.unflushed++
-	if w.unflushed >= nodeFlushBatch {
-		if w.sh.nodes.Add(w.unflushed) > w.budget {
+	if w.unflushed >= w.batch {
+		if total := w.sh.nodes.Add(w.unflushed); total > w.budget {
 			w.sh.setState(exhaustedBit)
+		} else {
+			w.batch = flushBatch(w.budget, total)
 		}
 		w.prog.AddNodes(w.unflushed)
 		w.unflushed = 0
-		w.sh.refreshExternal()
 		if w.sh.state.Load() != 0 {
 			w.halted = true
 			return
@@ -352,9 +339,7 @@ func (w *bbWorker) dfs(step, subIdx int) {
 			copy(w.bestAssign, w.curAssign)
 			w.bestSub = subIdx
 			w.found = true
-			if w.sh.tighten(w.curCost) && w.sh.share != nil {
-				w.sh.share.Publish(w.sh.key, math.Float64bits(w.curCost))
-			}
+			w.sh.tighten(w.curCost)
 			w.prog.SetIncumbent(math.Float64frombits(w.sh.bound.Load()))
 		}
 		return
@@ -397,12 +382,30 @@ func (w *bbWorker) dfs(step, subIdx int) {
 	}
 }
 
-// branchAndBoundParallel is branchAndBound split over the worker pool:
-// subproblems are the depth-k frontier of the sequential tree, the
-// incumbent bound is shared through a CAS-min atomic, and the merge is
-// deterministic by (cost, canonical subproblem index). Completed searches
-// return byte-identical results to the sequential path at any worker count.
-func branchAndBoundParallel(ctx context.Context, pr *problem, maxMem int, sp *obs.Span, wp *pool.Pool) ([]Binding, float64, float64, bool, error) {
+// branchAndBound finds the cheapest assignment of pr.groups into exactly
+// maxMem on-chip memories (clamped to the group count: the designer
+// allocated them, the tool uses them — Table 4's sweep axis).
+//
+// The search is anytime: the greedy first-fit incumbent is computed before
+// the exact search starts, so when ctx is already done the exact search is
+// skipped entirely, and when ctx expires mid-search (polled every
+// cancelCheckInterval nodes) the best incumbent found so far is returned.
+// Both cases report optimal=false, as does node-budget exhaustion.
+//
+// With a worker pool wider than one and a large enough problem, the tree is
+// split at chooseSplit's frontier and bbWorkers drain it on the pool, with
+// the incumbent bound shared through a CAS-min atomic. Otherwise one
+// bbWorker searches the whole tree inline. The merge is deterministic by
+// (cost, canonical subproblem index), so completed searches return
+// byte-identical results at any worker count.
+func branchAndBound(ctx context.Context, pr *problem, maxMem int, sp *obs.Span) ([]Binding, float64, float64, bool, error) {
+	n := len(pr.groups)
+	if n == 0 {
+		return nil, 0, 0, true, nil
+	}
+	if maxMem > n {
+		maxMem = n
+	}
 	pre := pr.bbPrecompute()
 	prog := pr.p.Progress
 	prog.SetBound(pre.lbTail[0] + float64(maxMem)*pre.emptyTerm)
@@ -415,15 +418,15 @@ func branchAndBoundParallel(ctx context.Context, pr *problem, maxMem int, sp *ob
 	// Warm start: the re-priced neighbour assignment, one ulp above its own
 	// cost (see seedIncumbent), feeds the split bound, every worker's local
 	// incumbent and the shared CAS bound — the same places the greedy cost
-	// already flows — so determinism is unchanged.
+	// already flows — so determinism is unchanged. The bound prunes with >=,
+	// so the canonical leaf that ties the seed still updates the incumbent
+	// and a completed search stays byte-identical to a cold one.
 	warmed := false
-	warmCost := math.Inf(1)
 	var wAssign []int
 	if pr.p.Seed != nil {
 		if a, sCost, ok := seedIncumbent(pr, maxMem, &pre); ok {
 			if sb := math.Nextafter(sCost, math.Inf(1)); sb < seed {
 				seed, wAssign, warmed = sb, a, true
-				warmCost = sCost
 				prog.SetIncumbent(sCost)
 			}
 		}
@@ -443,41 +446,35 @@ func branchAndBoundParallel(ctx context.Context, pr *problem, maxMem int, sp *ob
 		}
 	}
 
+	wp := pr.p.Workers
+	split := wp.Workers() > 1 && n >= minParallelGroups && pr.p.NodeBudget >= minParallelBudget
 	var prefixes [][]int16
 	depth, visited := 0, 0
-	if !stopped {
+	nw := 1
+	switch {
+	case stopped:
+	case split:
 		prefixes, depth, visited = chooseSplit(pr, maxMem, &pre, seed, wp.Workers())
+		nw = min(wp.Workers(), len(prefixes))
+	default:
+		prefixes = [][]int16{{}}
 	}
 
 	sh := &bbShared{}
 	sh.bound.Store(math.Float64bits(seed))
 	sh.nodes.Store(int64(visited))
-	if pr.p.Share != nil {
-		if k := pr.shareKey(maxMem); k != "" {
-			sh.share, sh.key = pr.p.Share, k
-			// Seed the exchange with this search's entry incumbents (both
-			// are feasible costs of the keyed problem), then fold in
-			// whatever concurrent searches already published.
-			if gOK {
-				sh.share.Publish(k, math.Float64bits(gCost))
-			}
-			if warmed {
-				sh.share.Publish(k, math.Float64bits(warmCost))
-			}
-			sh.refreshExternal()
-		}
-	}
 	exhausted := visited > pr.p.NodeBudget
-	nw := wp.Workers()
-	if nw > len(prefixes) {
-		nw = len(prefixes)
-	}
-	workers := make([]*bbWorker, nw)
-	if nw > 0 && !stopped && !exhausted {
+	var workers []*bbWorker
+	if len(prefixes) > 0 && !exhausted {
+		workers = make([]*bbWorker, nw)
 		for i := range workers {
 			workers[i] = newBBWorker(pr, &pre, sh, maxMem, seed, done)
 		}
-		wp.ForEach(ctx, nw, func(i int) { workers[i].run(prefixes) })
+		if split {
+			wp.ForEach(ctx, nw, func(i int) { workers[i].run(prefixes) })
+		} else {
+			workers[0].run(prefixes)
+		}
 	}
 
 	// Deterministic merge: minimum cost, float ties broken by the lowest
@@ -499,9 +496,6 @@ func branchAndBoundParallel(ctx context.Context, pr *problem, maxMem int, sp *ob
 	prog.AddNodes(int64(visited))
 	var prunedLB, portRejects int64
 	for _, w := range workers {
-		if w == nil {
-			continue
-		}
 		nodes += w.nodes
 		prog.AddNodes(w.unflushed)
 		prunedLB += w.prunedLB
@@ -519,8 +513,10 @@ func branchAndBoundParallel(ctx context.Context, pr *problem, maxMem int, sp *ob
 		sp.SetInt("nodes", nodes)
 		sp.SetInt("pruned_bound", prunedLB)
 		sp.SetInt("port_rejections", portRejects)
-		sp.SetInt("subtree_splits", int64(len(prefixes)))
-		sp.SetInt("split_depth", int64(depth))
+		if split {
+			sp.SetInt("subtree_splits", int64(len(prefixes)))
+			sp.SetInt("split_depth", int64(depth))
+		}
 		opt := int64(1)
 		if exhausted || stopped {
 			opt = 0
@@ -530,7 +526,9 @@ func branchAndBoundParallel(ctx context.Context, pr *problem, maxMem int, sp *ob
 		o.Counter("assign.nodes").Add(nodes)
 		o.Counter("assign.pruned_bound").Add(prunedLB)
 		o.Counter("assign.port_rejections").Add(portRejects)
-		o.Counter("assign.subtree_splits").Add(int64(len(prefixes)))
+		if split {
+			o.Counter("assign.subtree_splits").Add(int64(len(prefixes)))
+		}
 		if r := sh.races.Load(); r > 0 {
 			o.Counter("assign.incumbent_races").Add(r)
 		}
@@ -566,7 +564,7 @@ type offShared struct {
 	stop    atomic.Bool // ctx done observed (only honored once found)
 }
 
-// offWorker is one worker of the parallel set-partition scan.
+// offWorker is one worker of the set-partition scan.
 type offWorker struct {
 	pr   *problem
 	n    int
@@ -587,8 +585,8 @@ type offWorker struct {
 }
 
 // rgsPrefixes enumerates all restricted-growth prefixes of the given depth
-// — the depth-d frontier of the sequential partition enumeration, in
-// canonical order.
+// — the depth-d frontier of the partition enumeration, in canonical order.
+// Depth 0 yields the single empty prefix: the whole enumeration.
 func rgsPrefixes(n, depth int) [][]int16 {
 	var out [][]int16
 	cur := make([]int16, depth)
@@ -634,9 +632,9 @@ func (w *offWorker) solve(idx int, prefix []int16) {
 }
 
 // rec completes the partition from position i, pricing each complete
-// partition exactly as the sequential scan does. Cancellation is honored
-// only once a feasible packing exists somewhere (the sequential contract:
-// a feasible problem always yields a result).
+// partition through partitionPower. Cancellation is honored only once a
+// feasible packing exists somewhere, so a feasible problem always yields a
+// result.
 func (w *offWorker) rec(i, used int) {
 	if w.halted {
 		return
@@ -682,21 +680,37 @@ func (w *offWorker) rec(i, used int) {
 	}
 }
 
-// bestOffChipParallel splits the set-partition scan over the worker pool at
-// a restricted-growth-string prefix frontier. There is nothing to prune in
-// this exhaustive scan, so workers share only the subproblem counter and
-// the stop state; the merge is deterministic by (power, prefix index).
-func bestOffChipParallel(ctx context.Context, pr *problem, sp *obs.Span, wp *pool.Pool) ([]Binding, float64, bool, error) {
+// bestOffChip searches all set partitions of the off-chip groups (at most a
+// handful) for the cheapest feasible device packing. When ctx is done, the
+// search stops at the best feasible packing found so far (it keeps running
+// until one exists, so a feasible problem always yields a result) and the
+// returned optimal flag is false.
+//
+// With a pool wider than one, the scan splits at a restricted-growth-string
+// prefix frontier; otherwise one offWorker scans the whole enumeration
+// inline. There is nothing to prune in this exhaustive scan, so workers
+// share only the subproblem counter and the stop state; the merge is
+// deterministic by (power, prefix index).
+func bestOffChip(ctx context.Context, pr *problem, sp *obs.Span) ([]Binding, float64, bool, error) {
 	n := len(pr.groups)
-	depth := 1
-	prefixes := rgsPrefixes(n, depth)
-	for len(prefixes) < 2*wp.Workers() && depth < n-1 {
-		depth++
-		prefixes = rgsPrefixes(n, depth)
+	if n == 0 {
+		return nil, 0, true, nil
 	}
-	nw := wp.Workers()
-	if nw > len(prefixes) {
-		nw = len(prefixes)
+	if n > 8 {
+		return nil, 0, false, fmt.Errorf("assign: %d off-chip groups exceed the partition-search limit", n)
+	}
+	wp := pr.p.Workers
+	split := wp.Workers() > 1 && n >= minParallelOffChip
+	prefixes := rgsPrefixes(n, 0)
+	nw := 1
+	if split {
+		depth := 1
+		prefixes = rgsPrefixes(n, depth)
+		for len(prefixes) < 2*wp.Workers() && depth < n-1 {
+			depth++
+			prefixes = rgsPrefixes(n, depth)
+		}
+		nw = min(wp.Workers(), len(prefixes))
 	}
 	sh := &offShared{}
 	ws := make([]*offWorker, nw)
@@ -708,7 +722,11 @@ func bestOffChipParallel(ctx context.Context, pr *problem, sp *obs.Span, wp *poo
 			bestSub:   math.MaxInt,
 		}
 	}
-	wp.ForEach(ctx, nw, func(i int) { ws[i].run(prefixes) })
+	if split {
+		wp.ForEach(ctx, nw, func(i int) { ws[i].run(prefixes) })
+	} else {
+		ws[0].run(prefixes)
+	}
 
 	bestPower := math.Inf(1)
 	var bestParts [][]int
@@ -723,9 +741,13 @@ func bestOffChipParallel(ctx context.Context, pr *problem, sp *obs.Span, wp *poo
 	}
 	stopped := sh.stop.Load()
 	sp.SetInt("offchip_partitions", partitions)
-	sp.SetInt("offchip_splits", int64(len(prefixes)))
+	if split {
+		sp.SetInt("offchip_splits", int64(len(prefixes)))
+	}
 	if o := sp.Observer(); o != nil {
-		o.Counter("assign.subtree_splits").Add(int64(len(prefixes)))
+		if split {
+			o.Counter("assign.subtree_splits").Add(int64(len(prefixes)))
+		}
 		if cancelChecks > 0 {
 			o.Counter("assign.cancel_points").Add(cancelChecks)
 		}

@@ -55,10 +55,10 @@ func randomInstance(seed int64) (*spec.Spec, []sbd.Pattern) {
 	return b.MustBuild(), pats
 }
 
-// TestParallelAssignMatchesSequential is the determinism property test of
-// the tentpole: over random instances, the parallel search at every worker
-// count returns results deeply equal — bindings, costs (exact float
-// equality), group map, and the Optimal flag — to the sequential search.
+// TestParallelAssignMatchesSequential is the determinism property test:
+// over random instances, the search at every worker count returns results
+// deeply equal — bindings, costs (exact float equality), group map, and the
+// Optimal flag — to one inline worker over the whole tree (nil pool).
 func TestParallelAssignMatchesSequential(t *testing.T) {
 	tech := memlib.Default()
 	for seed := int64(0); seed < 12; seed++ {
@@ -94,7 +94,7 @@ func TestParallelAssignMatchesSequential(t *testing.T) {
 
 // TestParallelAssignAnytimeCancellation: an already-canceled context still
 // yields the greedy incumbent (never an error) from the parallel path, with
-// Optimal=false — the same anytime contract as the sequential search.
+// Optimal=false — the same anytime contract as one inline worker.
 func TestParallelAssignAnytimeCancellation(t *testing.T) {
 	s := mixedSpec(t)
 	tech := memlib.Default()

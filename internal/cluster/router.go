@@ -543,7 +543,7 @@ func (r *Router) AlivePeers() []*Peer {
 }
 
 // Client exposes the pooled forwarding client for auxiliary traffic
-// (incumbent broadcasts).
+// (membership gossip, join and leave handshakes, shard handoff).
 func (r *Router) Client() *http.Client { return r.client }
 
 func (r *Router) forwardList(ctx context.Context, cands []*Peer, method, path string, body []byte, hdr http.Header) (*PeerResult, bool) {
