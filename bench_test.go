@@ -472,6 +472,7 @@ func BenchmarkExploreObserved(b *testing.B) {
 // BenchmarkDistribute measures one storage-cycle-budget distribution of the
 // full demonstrator specification.
 func BenchmarkDistribute(b *testing.B) {
+	b.ReportAllocs()
 	demo, _ := benchFixture(b)
 	ep := core.DefaultEvalParams().ScaleTo(benchSize)
 	b.ResetTimer()

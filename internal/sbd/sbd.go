@@ -332,6 +332,24 @@ func groupsOf(s *spec.Spec) map[string]spec.BasicGroup {
 // the (few) distinct names, and all dense working state is carved from a
 // pooled scratch arena, so building and discarding a scheduler allocates
 // only the start slice that outlives it in the returned LoopSchedule.
+//
+// Slot costs are cached, not recomputed. pc holds, per (slot, branch), the
+// patternCost of that branch's effective pattern (common part plus the
+// branch; the common part alone for branch 0), and sc holds each slot's
+// cycle cost: the maximum of its active branches' pc, or the common pc when
+// no branch is active. A count change under branch b > 0 reprices only
+// pc[slot][b] (if the branch is still active); a change to the common part
+// reprices pc[slot][0] and every active branch. place and unplace read the
+// "before" value from sc, and trialCost prices each touched slot once and
+// leaves the occupancy and the caches as they were.
+//
+// Exactness rule: every cached value is the same float64, bit for bit, that
+// a from-scratch recompute of the slot gives (patternCost keeps its loop and
+// addition order, and the max does not depend on the order branches are
+// visited), and the running s.cost sees the same sequence of additions and
+// subtractions it saw when every trial was a place followed by an unplace.
+// Its rounding reaches WeightedCost and the placement tie-breaks, so both
+// stay unchanged.
 type scheduler struct {
 	l      *spec.Loop
 	groups map[string]spec.BasicGroup
@@ -354,13 +372,16 @@ type scheduler struct {
 	pair       []float64 // gid × gid (row stride ng): distinct-pair penalty
 	cnt        []int     // occupancy counters, [cycle][bid][gid] flattened
 	act        []int     // nonzero-group count per [cycle][bid]
+	pc         []float64 // cached patternCost per [cycle][bid] (stale while inactive)
+	sc         []float64 // cached cycle cost per cycle
+	trial      []float64 // scratch: trialCost's per-slot prices, len max duration
 	merged     []int     // scratch: common ⊎ branch pattern, len ng
 	structured []int     // scratch for structuralCost, len ng
 }
 
 // succs returns the successor IDs of access id.
 func (s *scheduler) succs(id int) []int {
-	return s.succ[s.succOff[id] : s.succOff[id+1] : s.succOff[id+1]]
+	return s.succ[s.succOff[id]:s.succOff[id+1]:s.succOff[id+1]]
 }
 
 // newScheduler builds the dense working state on the given arena (nil falls
@@ -452,6 +473,13 @@ func newScheduler(l *spec.Loop, groups map[string]spec.BasicGroup, budget int, p
 	}
 	s.cnt = ar.Ints(budget * s.nb * s.ng)
 	s.act = ar.Ints(budget * s.nb)
+	s.pc = ar.Float64s(budget * s.nb)
+	s.sc = ar.Float64s(budget)
+	maxDur := 0
+	for _, d := range s.dur {
+		maxDur = max(maxDur, d)
+	}
+	s.trial = ar.Float64s(maxDur)
 	s.merged = ar.Ints(s.ng)
 	s.structured = ar.Ints(s.ng)
 	return s
@@ -480,33 +508,85 @@ func (s *scheduler) patternCost(cnt []int) float64 {
 	return c
 }
 
-// cycleCost prices one cycle: the worst case over its branch scenarios.
-// Accesses under different branch tags are mutually exclusive, so the
-// effective pattern is the common part plus one branch (common-only is
-// pointwise-dominated whenever any branch is active).
-func (s *scheduler) cycleCost(slot int) float64 {
+// effectiveCost prices branch b's effective pattern at slot: the common
+// part plus branch b, or the common part alone for b = 0, with one more
+// access of group add when add >= 0. It reads the counters and changes
+// nothing.
+func (s *scheduler) effectiveCost(slot, b, add int) float64 {
 	base := slot * s.nb * s.ng
-	common := s.cnt[base : base+s.ng]
+	copy(s.merged, s.cnt[base:base+s.ng])
+	if b > 0 {
+		for g, k := range s.cnt[base+b*s.ng : base+(b+1)*s.ng] {
+			s.merged[g] += k
+		}
+	}
+	if add >= 0 {
+		s.merged[add]++
+	}
+	return s.patternCost(s.merged)
+}
+
+// reprice refreshes slot's cached costs after a count change under branch b
+// and returns its new cycle cost: the worst case over the active branch
+// scenarios. Accesses under different branch tags are mutually exclusive,
+// so the effective pattern is the common part plus one branch (common-only
+// is pointwise-dominated whenever any branch is active, and costs 0 when
+// the slot is empty).
+func (s *scheduler) reprice(slot, b int) float64 {
+	row := slot * s.nb
+	if b > 0 {
+		if s.act[row+b] != 0 {
+			s.pc[row+b] = s.effectiveCost(slot, b, -1)
+		}
+	} else {
+		for bb := 0; bb < s.nb; bb++ {
+			if bb == 0 || s.act[row+bb] != 0 {
+				s.pc[row+bb] = s.effectiveCost(slot, bb, -1)
+			}
+		}
+	}
 	worst := 0.0
 	anyBranch := false
-	for b := 1; b < s.nb; b++ {
-		if s.act[slot*s.nb+b] == 0 {
+	for bb := 1; bb < s.nb; bb++ {
+		if s.act[row+bb] == 0 {
 			continue
 		}
 		anyBranch = true
-		br := s.cnt[base+b*s.ng : base+(b+1)*s.ng]
-		for g := range s.merged {
-			s.merged[g] = common[g] + br[g]
-		}
-		if c := s.patternCost(s.merged); c > worst {
+		if c := s.pc[row+bb]; c > worst {
 			worst = c
 		}
 	}
 	if !anyBranch {
-		if s.act[slot*s.nb] == 0 {
-			return 0
+		worst = s.pc[row]
+	}
+	s.sc[slot] = worst
+	return worst
+}
+
+// trialSlot returns the cycle cost slot would have with one more access of
+// group g under branch b, without changing any state: the branches whose
+// pattern gains the access are repriced, the others read from the cache.
+func (s *scheduler) trialSlot(slot, b, g int) float64 {
+	row := slot * s.nb
+	worst := 0.0
+	anyBranch := false
+	for bb := 1; bb < s.nb; bb++ {
+		var c float64
+		switch {
+		case bb == b || b == 0 && s.act[row+bb] != 0:
+			c = s.effectiveCost(slot, bb, g)
+		case s.act[row+bb] != 0:
+			c = s.pc[row+bb]
+		default:
+			continue
 		}
-		return s.patternCost(common)
+		anyBranch = true
+		if c > worst {
+			worst = c
+		}
+	}
+	if !anyBranch {
+		return s.effectiveCost(slot, 0, g)
 	}
 	return worst
 }
@@ -525,13 +605,13 @@ func (s *scheduler) place(id, c int) {
 	g, b := s.gid[id], s.bid[id]
 	for k := c; k < c+s.dur[id]; k++ {
 		slot := s.slot(k)
-		s.cost -= s.cycleCost(slot)
+		s.cost -= s.sc[slot]
 		i := (slot*s.nb+b)*s.ng + g
 		if s.cnt[i] == 0 {
 			s.act[slot*s.nb+b]++
 		}
 		s.cnt[i]++
-		s.cost += s.cycleCost(slot)
+		s.cost += s.reprice(slot, b)
 	}
 	s.start[id] = c
 }
@@ -542,21 +622,44 @@ func (s *scheduler) unplace(id int) {
 	c := s.start[id]
 	for k := c; k < c+s.dur[id]; k++ {
 		slot := s.slot(k)
-		s.cost -= s.cycleCost(slot)
+		s.cost -= s.sc[slot]
 		i := (slot*s.nb+b)*s.ng + g
 		if s.cnt[i]--; s.cnt[i] == 0 {
 			s.act[slot*s.nb+b]--
 		}
-		s.cost += s.cycleCost(slot)
+		s.cost += s.reprice(slot, b)
 	}
 	s.start[id] = -1
 }
 
-// trialCost returns the cost after hypothetically placing id at c.
+// trialCost returns the cost after hypothetically placing id at c. It prices
+// each touched slot once and leaves the occupancy and the caches as they
+// were, but applies to s.cost the exact sequence a place followed by an
+// unplace would (−old, +new per slot, then −new, +old per slot), so the
+// running sum rounds as it always has. When an access is longer than the
+// initiation interval it wraps onto the same slot more than once; each
+// visit then prices the previous one's increment, so that case takes the
+// mutating path.
 func (s *scheduler) trialCost(id, c int) float64 {
-	s.place(id, c)
+	d := s.dur[id]
+	if d > s.budget {
+		s.place(id, c)
+		v := s.cost
+		s.unplace(id)
+		return v
+	}
+	g, b := s.gid[id], s.bid[id]
+	for k := 0; k < d; k++ {
+		slot := s.slot(c + k)
+		s.trial[k] = s.trialSlot(slot, b, g)
+		s.cost -= s.sc[slot]
+		s.cost += s.trial[k]
+	}
 	v := s.cost
-	s.unplace(id)
+	for k := 0; k < d; k++ {
+		s.cost -= s.trial[k]
+		s.cost += s.sc[s.slot(c+k)]
+	}
 	return v
 }
 

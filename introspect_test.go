@@ -219,11 +219,14 @@ func parseRequestDuration(t *testing.T, text string) promHistogram {
 // and that counts are monotone across scrapes. Run with -race.
 func TestMetricsPromConcurrentScrapes(t *testing.T) {
 	_, specJSON, budget := serviceSpec(t)
-	srv := NewServer(ServeOptions{Obs: NewObserver()})
+	const n = 8
+	// Queue room for every client: the default MaxQueue (2×GOMAXPROCS) can
+	// turn a burst into 429s under CPU load, and this test checks scrape
+	// consistency, not admission (TestServerOverload covers that).
+	srv := NewServer(ServeOptions{Obs: NewObserver(), MaxQueue: n})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	const n = 8
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	scrapeErr := make(chan error, 1)
