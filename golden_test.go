@@ -3,6 +3,7 @@ package dtse
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -49,12 +50,38 @@ func TestRunAllGolden(t *testing.T) {
 const exploreGolden = "explore_bodies.jsonl"
 
 // goldenExploreRequests are the /v1/explore bodies pinned by
-// exploreGolden: a demo run plus seeded random spec-mode requests.
+// exploreGolden: a demo run plus seeded random spec-mode requests, then
+// the same seeds 0–2 with the in-place and interconnect spec params set,
+// and last a two-phase spec whose two groups have disjoint lifetimes and
+// share one on-chip memory, the case in which in-place mapping changes the
+// organization (every random spec is one loop, so all its groups overlap).
 func goldenExploreRequests(t *testing.T) []string {
 	bodies := []string{`{"demo": {"size": 16, "seed": 9}}`}
 	for seed := int64(0); seed < 5; seed++ {
 		bodies = append(bodies, randClusterSpec(t, seed))
 	}
+	for seed, params := range []string{
+		`{"inplace": true}`,
+		`{"interconnect": true}`,
+		`{"inplace": true, "interconnect": true}`,
+	} {
+		spec := randClusterSpec(t, int64(seed))
+		bodies = append(bodies, strings.TrimSuffix(spec, "}")+`, "params": `+params+`}`)
+	}
+	b := NewSpec("staged")
+	b.Group("early", 4096, 8)
+	b.Group("late", 4096, 8)
+	b.Loop("phase1", 1000)
+	b.Write("early", 1)
+	b.Read("early", 1)
+	b.Loop("phase2", 1000)
+	b.Write("late", 1)
+	b.Read("late", 1)
+	var staged bytes.Buffer
+	if err := WriteSpecJSON(b.MustBuild(), &staged); err != nil {
+		t.Fatal(err)
+	}
+	bodies = append(bodies, fmt.Sprintf(`{"spec": %s, "budget": 20000, "params": {"onchip": 1, "inplace": true}}`, staged.Bytes()))
 	return bodies
 }
 
