@@ -12,11 +12,11 @@ package dtse
 //
 // On any ring change the node re-derives ownership and runs shard handoff:
 // for every cached record whose route fingerprint this node owned under the
-// old ring but not the new one, it streams the record (and the matching
-// warm-index seeds) to the new owner over POST /v1/internal/handoff. The
-// receiver gates every import on its own live ring — it only accepts keys
-// it owns right now — so a racing topology change degrades to a dropped
-// warm-up, never a mis-sharded cache. The gossip exchange doubles as the
+// old ring but not the new one, it streams the record to the new owner
+// over POST /v1/internal/handoff. The receiver gates every import on its
+// own live ring — it only accepts keys it owns right now — so a racing
+// topology change degrades to a dropped warm-up, never a mis-sharded
+// cache. The gossip exchange doubles as the
 // health prober: a reachable member revives its Router ejection state
 // (PeerOK), an unreachable one feeds it (PeerFail), which is what rejoins a
 // recovered peer now that the serving path's half-open probe admits only
@@ -239,23 +239,17 @@ type handoffRec struct {
 	Val []byte `json:"val"`
 }
 
-type handoffSeed struct {
-	Canon  string         `json:"canon"`
-	Assign map[string]int `json:"assign"`
-}
-
-// handoffWire is the POST /v1/internal/handoff body: the records and
-// warm-index seeds one departing/demoted owner streams to one new owner.
+// handoffWire is the POST /v1/internal/handoff body: the records one
+// departing/demoted owner streams to one new owner.
 type handoffWire struct {
-	From    string        `json:"from"`
-	Records []handoffRec  `json:"records,omitempty"`
-	Seeds   []handoffSeed `json:"seeds,omitempty"`
+	From    string       `json:"from"`
+	Records []handoffRec `json:"records,omitempty"`
 }
 
 // maxHandoffBody bounds a handoff read on the receiving side.
 const maxHandoffBody = 256 << 20
 
-// runHandoff streams every cached record and warm seed whose route
+// runHandoff streams every cached record whose route
 // fingerprint this node owned under old but does not own under new to the
 // key's new owner. Purely best-effort warm-up: a failed stream costs the
 // receiver cache misses, never correctness.
@@ -306,16 +300,6 @@ func (s *Server) runHandoff(old, next *cluster.Ring) {
 			return true
 		})
 	}
-	// Warm-index seeds for moved canonical fingerprints.
-	s.warm.rangeSeeds(func(canon string, assign map[string]int) bool {
-		target, ok := moved(memo.Fingerprint64(canon))
-		if !ok {
-			return true
-		}
-		w := wireFor(target)
-		w.Seeds = append(w.Seeds, handoffSeed{Canon: canon, Assign: assign})
-		return true
-	})
 	for target, wire := range byTarget {
 		s.sendHandoff(target, wire)
 	}
@@ -358,8 +342,7 @@ func (s *Server) sendHandoff(target string, wire *handoffWire) {
 // the live ring — only keys this node owns right now are accepted — so a
 // stale or misdirected stream cannot pollute the wrong shard. Records go
 // to the disk tier when there is one (misses promote them to memory on
-// first touch, counted as disk hits), else straight into the memory tier;
-// seeds go through the warm index's own ownership gate.
+// first touch, counted as disk hits), else straight into the memory tier.
 func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	cs := s.cluster
 	if cs == nil {
@@ -376,7 +359,7 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "invalid handoff body: "+err.Error())
 		return
 	}
-	var entries, seeds, refused int64
+	var entries, refused int64
 	for _, rec := range wire.Records {
 		if !cs.router.Owns(routeKeyOfCacheKey(rec.Key)) {
 			refused++
@@ -394,19 +377,8 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 			entries++
 		}
 	}
-	for _, sd := range wire.Seeds {
-		if !cs.router.Owns(memo.Fingerprint64(sd.Canon)) {
-			refused++
-			continue
-		}
-		if s.warm != nil {
-			s.warm.record(sd.Canon, sd.Assign)
-			seeds++
-		}
-	}
 	s.obs.Counter("cluster.handoff_received").Add(1)
 	s.obs.Counter("cluster.handoff_entries").Add(entries)
-	s.obs.Counter("cluster.handoff_seeds").Add(seeds)
 	if refused > 0 {
 		s.obs.Counter("cluster.handoff_refused").Add(refused)
 	}

@@ -3,7 +3,6 @@ package dtse
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -214,50 +213,5 @@ func TestClusterLeaveMidRunByteIdentical(t *testing.T) {
 	hits := tc.servers[0].memo.Stats(memo.Requests).Hits + tc.servers[1].memo.Stats(memo.Requests).Hits
 	if hits < 1 {
 		t.Fatalf("no survivor served a memo hit after handoff (hits=%d)", hits)
-	}
-}
-
-// TestWarmIndexRefusesSeedsAfterLiveRingChange wires the warm index to a
-// real Router's live ring (exactly as JoinCluster does) and checks the
-// satellite property: a fingerprint recorded while owned goes silent the
-// moment a membership change moves its ownership away, and wakes up when
-// ownership returns.
-func TestWarmIndexRefusesSeedsAfterLiveRingChange(t *testing.T) {
-	router, err := cluster.New(cluster.Config{Self: "http://self.test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wi := newWarmIndex()
-	wi.setOwns(func(c string) bool { return router.Owns(memo.Fingerprint64(c)) })
-
-	canon := `{"name":"probe"}`
-	wi.record(canon, map[string]int{"g": 0})
-	if wi.lookup(canon) == nil {
-		t.Fatal("sole member must own and serve its own fingerprint")
-	}
-
-	// Find a peer whose arrival takes ownership of canon.
-	fp := memo.Fingerprint64(canon)
-	peer := ""
-	for i := 0; i < 1000; i++ {
-		cand := fmt.Sprintf("http://peer-%d.test", i)
-		if cluster.NewRing([]string{"http://self.test", cand}).Owner(fp) == cand {
-			peer = cand
-			break
-		}
-	}
-	if peer == "" {
-		t.Fatal("no candidate peer takes ownership; vnode layout changed?")
-	}
-
-	router.SetMembers([]string{peer})
-	if got := wi.lookup(canon); got != nil {
-		t.Fatalf("lookup served a seed for a fingerprint that moved away: %v", got)
-	}
-	wi.record(canon, map[string]int{"g": 1}) // recording is refused too
-	router.SetMembers(nil)                   // peer leaves; ownership returns
-	got := wi.lookup(canon)
-	if got == nil || got["g"] != 0 {
-		t.Fatalf("seed must wake up unchanged when ownership returns, got %v", got)
 	}
 }

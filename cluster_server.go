@@ -4,8 +4,8 @@ package dtse
 // runs the same code with the same member list; any node accepts any
 // request. A request whose canonical fingerprint hashes to a peer is
 // forwarded there (with hedged retries down the ring walk, see
-// internal/cluster), so each node's session cache, disk tier, and warm
-// index stay hot for its shard of the keyspace. When the owner is down or
+// internal/cluster), so each node's session cache and disk tier stay hot
+// for its shard of the keyspace. When the owner is down or
 // slow the request falls through to the next ring member, and when no peer
 // can answer the receiving node serves it locally — a dead cluster
 // degrades to N independent single nodes, never to failed requests.
@@ -118,15 +118,6 @@ func (s *Server) JoinCluster(opts ClusterOptions) error {
 		cs.suspectFor = defaultSuspicionTimeout
 	}
 	s.cluster = cs
-	// Shard discipline for warm starts: a node must never seed from a
-	// fingerprint it does not own right now, or a ring change would leak
-	// another shard's neighbours into this node's index (and keep serving
-	// them after rebalancing).
-	if s.warm != nil {
-		s.warm.setOwns(func(canon string) bool {
-			return router.Owns(memo.Fingerprint64(canon))
-		})
-	}
 	// Align the ring with the initial membership view (Peers ∪ Seeds): a
 	// seed is a member we trust to exist before the first handshake.
 	router.SetMembers(cs.members.Alive())
@@ -138,9 +129,8 @@ func (s *Server) JoinCluster(opts ClusterOptions) error {
 
 // routeKey is the consistent-hash routing fingerprint. Spec requests hash
 // the canonical spec JSON alone — not the full dedup key — so budget and
-// knob variants of one spec co-locate on the node whose warm index knows
-// that spec's neighbourhood. Demo requests have no canon and hash the
-// dedup key.
+// knob variants of one spec co-locate on one node and share its cached
+// loop patterns. Demo requests have no canon and hash the dedup key.
 func routeKey(p *parsedRequest) uint64 {
 	if p.mode == "spec" {
 		return memo.Fingerprint64(p.canon)

@@ -98,10 +98,9 @@ func clusterWorkload() ([]string, error) {
 		if err := dtse.WriteSpecJSON(s, &buf); err != nil {
 			return nil, err
 		}
-		// The budget must be generous enough for every search to complete
-		// optimally: a cut-short (non-optimal) warm-started result is
-		// volatile — the seed makes it history-dependent — so it would
-		// never be cached and the sweep would measure recompute.
+		// A generous cycle budget keeps every spec feasible: an infeasible
+		// one is a 422, which is never cached, so the sweep would measure
+		// recompute.
 		bodies = append(bodies, fmt.Sprintf(`{"spec": %s, "budget": 20000000}`, buf.String()))
 	}
 	return bodies, nil

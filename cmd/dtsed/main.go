@@ -8,16 +8,16 @@
 //	dtsed [-addr 127.0.0.1:8321] [-concurrency N] [-queue N]
 //	      [-timeout 0] [-max-timeout 0] [-workers N] [-drain 5s]
 //	      [-trace out.jsonl] [-cache on|off] [-cache-dir DIR]
-//	      [-cache-bytes N] [-warm on|off] [-flight N] [-slow 0]
+//	      [-cache-bytes N] [-flight N] [-slow 0]
 //	      [-cluster on|off] [-self URL] [-peers URL,URL,...] [-join URL,...]
 //	      [-hedge-ms N] [-gossip 1s] [-suspicion 10s]
 //
 // With -cluster on (requires -self, this node's advertised base URL, plus
 // -peers and/or -join) the daemon joins a multi-node ring: any node
 // accepts any request, routes it to the consistent-hash owner of its
-// canonical fingerprint (so each node's caches and warm index stay hot for
-// its shard), hedges to the next ring node when the owner is slower than
-// its p99 (-hedge-ms floors the delay), and ejects unhealthy peers. Each
+// canonical fingerprint (so each node's caches stay hot for its shard),
+// hedges to the next ring node when the owner is slower than its p99
+// (-hedge-ms floors the delay), and ejects unhealthy peers. Each
 // request is computed whole on one node, so responses are byte-identical
 // at any node count.
 //
@@ -27,16 +27,15 @@
 // Every -gossip interval the daemon exchanges membership digests with its
 // peers; an unreachable member is suspected and removed after -suspicion,
 // while incarnation numbers let a live member refute stale claims about
-// itself. On any ring change the node streams the cached records and
-// warm-index seeds it no longer owns to their new owner
-// (/v1/internal/handoff), so rebalanced shards start hot. On shutdown the
+// itself. On any ring change the node streams the cached records it no
+// longer owns to their new owner (/v1/internal/handoff), so rebalanced
+// shards start hot. On shutdown the
 // daemon announces its departure and hands its shard over before draining.
 //
 // With -cache-dir the daemon keeps a disk-backed second cache tier: every
 // completed response is appended (write-behind, checksummed) to
 // DIR/cache.log and survives restarts — a fresh process answers previously
-// seen requests byte-identically from disk and re-seeds its warm-start
-// index from the recovered organizations. -cache-bytes caps each in-memory
+// seen requests byte-identically from disk. -cache-bytes caps each in-memory
 // keyspace, evicting cold entries CLOCK-wise; the disk tier still holds
 // everything appended.
 //
@@ -112,7 +111,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	cache := fs.String("cache", "on", "session cache: on or off (responses are identical either way)")
 	cacheDir := fs.String("cache-dir", "", "persist completed responses to an append-only log in this directory (disk cache tier, survives restarts)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "byte cap per session-cache keyspace, evicting beyond it (0 = unbounded)")
-	warm := fs.String("warm", "on", "warm-start search from cached neighbour assignments: on or off (completed results are identical either way)")
 	flight := fs.Int("flight", 64, "flight-recorder capacity: last N slow/degraded/errored requests (-1 disables)")
 	slow := fs.Duration("slow", 0, "flight-record healthy requests at least this slow (0 = off)")
 	clusterMode := fs.String("cluster", "off", "cluster mode: on or off (requires -self and -peers)")
@@ -127,11 +125,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if *cache != "on" && *cache != "off" {
 		fmt.Fprintf(stderr, "dtsed: -cache %q invalid (want on or off)\n", *cache)
-		fs.Usage()
-		return 2
-	}
-	if *warm != "on" && *warm != "off" {
-		fmt.Fprintf(stderr, "dtsed: -warm %q invalid (want on or off)\n", *warm)
 		fs.Usage()
 		return 2
 	}
@@ -229,7 +222,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		NoCache:        *cache == "off",
 		CacheBytes:     *cacheBytes,
 		Disk:           disk,
-		NoWarmStart:    *warm == "off",
 		FlightRecorder: *flight,
 		SlowRequest:    *slow,
 	})

@@ -16,9 +16,8 @@ import (
 )
 
 // Absolute goldens. The equivalence suites compare modes against each other
-// (cached vs uncached, 1 vs N workers, 1 vs N nodes, warm vs cold), which a
-// change shifting every mode alike would pass. These pin the bytes
-// themselves. Regenerate with `go test . -run Golden -update` only for a
+// (cached vs uncached, 1 vs N workers, 1 vs N nodes), which a change
+// shifting every mode alike would pass. These pin the bytes themselves. Regenerate with `go test . -run Golden -update` only for a
 // deliberate, explained output change.
 
 const runAllGolden = "runall_256.json"

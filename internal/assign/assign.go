@@ -66,15 +66,6 @@ type Params struct {
 	// with a shared incumbent bound; results are byte-identical at any
 	// width. Nil (or a 1-wide pool) runs one search worker inline.
 	Workers *pool.Pool
-	// Seed is an optional warm-start hint: a feasible on-chip assignment of
-	// a neighbouring problem, as group name -> memory slot. It is re-priced
-	// on *this* problem before use (a feasible solution's cost is always an
-	// upper bound on the optimum), so a stale or foreign seed can only fail
-	// to engage — it can never change which organization a completed search
-	// returns, only tighten the initial incumbent. Seeds that do not cover
-	// every on-chip group, use a different memory count, or violate a port
-	// constraint here are rejected (counted as assign.seed_rejected).
-	Seed map[string]int
 }
 
 func (p *Params) normalize() {
@@ -625,68 +616,6 @@ func greedyIncumbent(pr *problem, maxMem int, pre *bbPre) (assign []int, cost fl
 		curAssign[gi] = bestM
 	}
 	return curAssign, curCost, true
-}
-
-// seedIncumbent re-prices the warm-start seed (Params.Seed, a neighbouring
-// problem's assignment by group name) on this problem. The seed must cover
-// every on-chip group and, after renumbering its slots by first appearance
-// in decision order (the search's symmetry-breaking canonical form), use
-// exactly maxMem memories — the mustOpen rule makes every feasible search
-// leaf do the same, so a seed using fewer could undercut every real leaf
-// and would be an unsound bound.
-//
-// The cost is computed by replaying the assignment along pre.order with
-// the same push/onChipCost/delta statements as the DFS itself, so the
-// returned float is bitwise the cost of that exact search leaf. That makes
-// adopting it as the incumbent anytime-correct: seedCost >= the true
-// optimum in the DFS's own arithmetic, and the caller opens the bound by
-// one ulp (Nextafter) so a leaf that ties the seed still wins — a
-// completed search returns byte-identical results with or without a seed.
-func seedIncumbent(pr *problem, maxMem int, pre *bbPre) (assign []int, cost float64, ok bool) {
-	seed := pr.p.Seed
-	n := len(pr.groups)
-	if len(seed) == 0 || n == 0 {
-		return nil, 0, false
-	}
-	slotOf := make([]int, n)
-	for gi := range pr.groups {
-		s, covered := seed[pr.groups[gi].Name]
-		if !covered {
-			return nil, 0, false
-		}
-		slotOf[gi] = s
-	}
-	renum := make(map[int]int, maxMem)
-	assignTo := make([]int, n)
-	for _, gi := range pre.order {
-		m, seen := renum[slotOf[gi]]
-		if !seen {
-			m = len(renum)
-			if m >= maxMem {
-				return nil, 0, false
-			}
-			renum[slotOf[gi]] = m
-		}
-		assignTo[gi] = m
-	}
-	if len(renum) != maxMem {
-		return nil, 0, false
-	}
-	mems := newMemStates(pr, maxMem)
-	memCost := make([]float64, maxMem)
-	var curCost float64
-	for _, gi := range pre.order {
-		m := assignTo[gi]
-		mems[m].push(pr, gi)
-		area, power, err := pr.onChipCost(mems[m])
-		if err != nil {
-			return nil, 0, false // infeasible here (ports/words): reject
-		}
-		oldCost := memCost[m]
-		memCost[m] = power + areaWeight*area
-		curCost += memCost[m] - oldCost
-	}
-	return assignTo, curCost, true
 }
 
 // materializeOnChip turns the winning assignment vector into memory

@@ -14,10 +14,10 @@
 //     recorded solution is the DFS-first cheapest one.
 //  2. The shared incumbent bound only ever prunes with strict >, and only
 //     ever holds the costs of feasible solutions this search found (or its
-//     greedy and warm-start entry incumbents), so a subtree that could
-//     still contain a solution of globally minimal cost is never cut by
-//     another worker's progress; racing on the bound can only change how
-//     much work is done, never which solution wins.
+//     greedy entry incumbent), so a subtree that could still contain a
+//     solution of globally minimal cost is never cut by another worker's
+//     progress; racing on the bound can only change how much work is done,
+//     never which solution wins.
 //  3. The merge picks the minimum cost, breaking float ties by the lowest
 //     subproblem index (the greedy incumbent sits at index -1). Because a
 //     worker drains subproblem indices in increasing order, the candidate
@@ -415,23 +415,6 @@ func branchAndBound(ctx context.Context, pr *problem, maxMem int, sp *obs.Span) 
 		seed = gCost
 		prog.SetIncumbent(gCost)
 	}
-	// Warm start: the re-priced neighbour assignment, one ulp above its own
-	// cost (see seedIncumbent), feeds the split bound, every worker's local
-	// incumbent and the shared CAS bound — the same places the greedy cost
-	// already flows — so determinism is unchanged. The bound prunes with >=,
-	// so the canonical leaf that ties the seed still updates the incumbent
-	// and a completed search stays byte-identical to a cold one.
-	warmed := false
-	var wAssign []int
-	if pr.p.Seed != nil {
-		if a, sCost, ok := seedIncumbent(pr, maxMem, &pre); ok {
-			if sb := math.Nextafter(sCost, math.Inf(1)); sb < seed {
-				seed, wAssign, warmed = sb, a, true
-				prog.SetIncumbent(sCost)
-			}
-		}
-	}
-
 	stopped := false
 	done := ctx.Done()
 	var cancelChecks int64
@@ -486,12 +469,6 @@ func branchAndBound(ctx context.Context, pr *problem, maxMem int, sp *obs.Span) 
 	if gOK {
 		bestCost, bestAssign, bestSub = gCost, gAssign, -1
 	}
-	if warmed {
-		// Workers only record strict improvements below the seed bound, so
-		// any worker candidate beats this by cost alone; the index never
-		// breaks a tie against it.
-		bestCost, bestAssign, bestSub = seed, wAssign, math.MaxInt
-	}
 	nodes := int64(visited)
 	prog.AddNodes(int64(visited))
 	var prunedLB, portRejects int64
@@ -537,13 +514,6 @@ func branchAndBound(ctx context.Context, pr *problem, maxMem int, sp *obs.Span) 
 		}
 		if stopped {
 			o.Counter("assign.deadline_fallbacks").Add(1)
-		}
-		if pr.p.Seed != nil {
-			if warmed {
-				o.Counter("assign.incumbent_seeded").Add(1)
-			} else {
-				o.Counter("assign.seed_rejected").Add(1)
-			}
 		}
 	}
 	if math.IsInf(bestCost, 1) {

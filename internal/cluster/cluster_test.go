@@ -375,6 +375,16 @@ func TestOwnershipShiftsWithLiveness(t *testing.T) {
 	if !r.Owns(key) {
 		t.Fatal("self should inherit the key once every preceding walk member is down")
 	}
+	// Ownership follows the member set too: a peer's departure hands self
+	// the key, and its return (fresh, alive) takes the key back.
+	r.SetMembers([]string{r.Self()})
+	if !r.Owns(key) {
+		t.Fatal("self should own every key as the sole member")
+	}
+	r.SetMembers([]string{"http://a.invalid", "http://b.invalid"})
+	if r.Owns(key) {
+		t.Fatal("self should give the key back when its owner rejoins the ring")
+	}
 }
 
 // --- board ---

@@ -5,7 +5,7 @@
 //
 // The ring hashes with memo.Fingerprint64, the same FNV-1a the session cache
 // shards with, so a key's ring owner is also the node whose session/disk
-// cache and warm-start index stay hot for that key's neighbourhood.
+// cache stays hot for that key.
 package cluster
 
 import (

@@ -319,8 +319,7 @@ func (r *Router) ProbeAllowed(id string) bool {
 // Owns reports whether this node should serve key right now: self is the
 // first *alive* member in the key's ring walk. Liveness shifts ownership —
 // when a peer is ejected its keys fall through to the next walk member —
-// and shifts it back on rejoin, which is exactly the predicate the warm
-// index uses to refuse seeds from fingerprints it no longer owns.
+// and shifts it back on rejoin. Serving and shard handoff both decide on it.
 func (r *Router) Owns(key uint64) bool {
 	ring, peers := r.snapshot()
 	now := time.Now()

@@ -178,9 +178,9 @@ func (s *space) lock(sh *shard) {
 // Fingerprint64 is the cache's canonical 64-bit key fingerprint: FNV-1a
 // over the key bytes. It is the one hash behind shard addressing here and
 // consistent-hash request routing in cluster mode — sharing it means a
-// request's ring owner is also the node whose session/disk cache and
-// warm-start index accumulate that key's neighbourhood. Generic over the
-// key form so neither caller allocates a conversion.
+// request's ring owner is also the node whose session/disk cache holds
+// that key. Generic over the key form so neither caller allocates a
+// conversion.
 func Fingerprint64[K ~string | ~[]byte](key K) uint64 {
 	const (
 		offset64 = 14695981039346656037
