@@ -33,6 +33,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -192,7 +193,7 @@ func budgetSweepBench(cached bool) func(int) (testing.BenchmarkResult, map[strin
 				if !cached {
 					ep.Memo = nil
 				}
-				pts, err := core.ExploreBudgets(res.HierChoice.Spec, res.Demo.CycleBudget, ep)
+				pts, err := core.ExploreBudgetsContext(context.Background(), res.HierChoice.Spec, res.Demo.CycleBudget, ep)
 				if err != nil {
 					innerErr = err
 					b.Fatal(err)
@@ -220,7 +221,7 @@ func distributeBench(size int) (testing.BenchmarkResult, map[string]float64, map
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			dist, err := sbd.Distribute(d.Spec, d.CycleBudget, ep.SBD)
+			dist, err := sbd.DistributeContext(context.Background(), d.Spec, d.CycleBudget, ep.SBD)
 			if err != nil {
 				innerErr = err
 				b.Fatal(err)

@@ -167,18 +167,12 @@ func DefaultParams() EvalParams { return core.DefaultEvalParams() }
 
 // Explore runs the physical memory management stage (storage cycle budget
 // distribution, then memory allocation and assignment) on any pruned
-// specification, returning the evaluated organization with its accurate
-// cost feedback.
-func Explore(s *Spec, cycleBudget uint64, ep EvalParams) (*Variant, error) {
-	return core.Evaluate(s, cycleBudget, s.Name, ep)
-}
-
-// ExploreContext is Explore with deadline and cancellation support. The
-// exploration is *anytime*: when ctx expires or is canceled, each stage
-// returns its best result found so far (the assignment falls back to its
-// greedy incumbent, flagged with Assignment.Optimal=false) instead of an
-// error, so a feasible specification always yields a valid organization.
-func ExploreContext(ctx context.Context, s *Spec, cycleBudget uint64, ep EvalParams) (*Variant, error) {
+// specification, returning the evaluated organization with its accurate cost
+// feedback. The exploration is *anytime*: when ctx expires or is canceled,
+// each stage returns its best result found so far (the assignment falls back
+// to its greedy incumbent, flagged with Assignment.Optimal=false) instead of
+// an error, so a feasible specification always yields a valid organization.
+func Explore(ctx context.Context, s *Spec, cycleBudget uint64, ep EvalParams) (*Variant, error) {
 	return core.EvaluateContext(ctx, s, cycleBudget, s.Name, ep)
 }
 
@@ -213,32 +207,15 @@ func ParetoFront(points []ParetoPoint) []ParetoPoint { return pareto.Front(point
 
 // ReproduceBTPC runs the paper's complete stepwise feedback methodology on
 // the BTPC demonstrator: profile, prune, structure (Table 1), hierarchy
-// (Table 2, Figure 3), cycle budget (Table 3), allocation (Table 4).
-func ReproduceBTPC(cfg DemoConfig) (*Results, error) {
-	return core.RunAll(cfg, core.DefaultEvalParams())
-}
-
-// ReproduceBTPCContext is ReproduceBTPC with deadline and cancellation
-// support: when ctx expires the remaining exploration degrades to
-// best-effort results (sweeps keep their reference rows, searches return
-// incumbents flagged non-optimal) and a complete Results is still returned.
-func ReproduceBTPCContext(ctx context.Context, cfg DemoConfig) (*Results, error) {
-	return core.RunAllContext(ctx, cfg, core.DefaultEvalParams())
-}
-
-// ReproduceBTPCObserved is ReproduceBTPC with exploration telemetry: spans
-// and counters are recorded into the observer's sinks (see NewObserver).
-func ReproduceBTPCObserved(cfg DemoConfig, o *Observer) (*Results, error) {
-	return ReproduceBTPCObservedContext(context.Background(), cfg, o)
-}
-
-// ReproduceBTPCObservedContext combines telemetry with deadline and
-// cancellation support: the obs counters (assign.deadline_fallbacks,
-// assign.cancel_points, sbd.deadline_fallbacks, assign.result{optimal=...})
-// record where the budget went when a run degrades.
-func ReproduceBTPCObservedContext(ctx context.Context, cfg DemoConfig, o *Observer) (*Results, error) {
-	ep := core.DefaultEvalParams()
-	ep.Obs = o
+// (Table 2, Figure 3), cycle budget (Table 3), allocation (Table 4). Pass
+// DefaultParams() for the calibrated tool parameters; with ep.Obs set (see
+// NewObserver), spans and counters are recorded into the observer's sinks.
+// When ctx expires the remaining exploration degrades to best-effort results
+// (sweeps keep their reference rows, searches return incumbents flagged
+// non-optimal) and a complete Results is still returned; the obs counters
+// (assign.deadline_fallbacks, assign.cancel_points, sbd.deadline_fallbacks,
+// assign.result{optimal=...}) record where the budget went.
+func ReproduceBTPC(ctx context.Context, cfg DemoConfig, ep EvalParams) (*Results, error) {
 	return core.RunAllContext(ctx, cfg, ep)
 }
 

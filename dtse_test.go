@@ -1,6 +1,7 @@
 package dtse
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -46,7 +47,7 @@ func TestFacadeExplore(t *testing.T) {
 	ep.Assign.OnChipMaxWords = tech.OnChipMaxWords
 	ep.OnChipCount = 2
 
-	v, err := Explore(sp, uint64(18*176*144), ep)
+	v, err := Explore(context.Background(), sp, uint64(18*176*144), ep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestFacadeReproduceBTPCSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full methodology run skipped in -short mode")
 	}
-	res, err := ReproduceBTPC(DemoConfig{Size: 128})
+	res, err := ReproduceBTPC(context.Background(), DemoConfig{Size: 128}, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func TestFacadeObservedExplore(t *testing.T) {
 	o := NewObserver(c)
 	ep := DefaultParams()
 	ep.Obs = o
-	if _, err := Explore(sp, 20*176*144, ep); err != nil {
+	if _, err := Explore(context.Background(), sp, 20*176*144, ep); err != nil {
 		t.Fatal(err)
 	}
 	if err := o.Flush(); err != nil {

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -116,7 +117,7 @@ func main() {
 		{"four partitioned 32K pools", false},
 	} {
 		s := buildSwitch(cfg.label, cfg.shared)
-		v, err := dtse.Explore(s, budget, ep)
+		v, err := dtse.Explore(context.Background(), s, budget, ep)
 		if err != nil {
 			log.Fatalf("%s: %v", cfg.label, err)
 		}
@@ -140,7 +141,7 @@ func main() {
 		bgt := uint64(float64(budget) * frac)
 		cand := s
 		note := ""
-		v, err := dtse.Explore(cand, bgt, ep)
+		v, err := dtse.Explore(context.Background(), cand, bgt, ep)
 		if err != nil {
 			transformed, tlog, terr := dtse.ReduceMACP(s, bgt)
 			if terr != nil {
@@ -150,7 +151,7 @@ func main() {
 			}
 			cand = transformed
 			note = fmt.Sprintf("  [after %d loop transformations]", len(tlog))
-			v, err = dtse.Explore(cand, bgt, ep)
+			v, err = dtse.Explore(context.Background(), cand, bgt, ep)
 			if err != nil {
 				fmt.Printf("  %3.0f%% budget: infeasible (%v)\n", 100*frac, err)
 				continue

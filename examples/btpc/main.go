@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -63,7 +64,7 @@ func main() {
 
 	// 3. The methodology: every step of the paper, with the accurate cost
 	// feedback driving the decisions.
-	res, err := dtse.ReproduceBTPC(dtse.DemoConfig{Size: *size})
+	res, err := dtse.ReproduceBTPC(context.Background(), dtse.DemoConfig{Size: *size}, dtse.DefaultParams())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -117,7 +118,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		v, err := dtse.Explore(applied, budget, ep)
+		v, err := dtse.Explore(context.Background(), applied, budget, ep)
 		if err != nil {
 			log.Fatalf("%s: %v", opt.label, err)
 		}

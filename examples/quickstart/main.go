@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,7 +37,7 @@ func main() {
 
 	// Real-time constraint: 12 storage cycles per pixel.
 	budget := uint64(12 * w * h)
-	v, err := dtse.Explore(s, budget, dtse.DefaultParams())
+	v, err := dtse.Explore(context.Background(), s, budget, dtse.DefaultParams())
 	if err != nil {
 		log.Fatal(err)
 	}

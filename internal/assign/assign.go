@@ -52,8 +52,8 @@ type Params struct {
 	// disjoint lifetimes assigned to the same memory share storage, so a
 	// memory is sized by its peak live words rather than their sum.
 	InPlace bool
-	// Obs is the parent telemetry span Assign attaches its span and search
-	// counters to; nil disables instrumentation at near-zero cost.
+	// Obs is the parent telemetry span AssignContext attaches its span and
+	// search counters to; nil disables instrumentation at near-zero cost.
 	Obs *obs.Span
 	// Progress, when non-nil, receives live search position (nodes expanded,
 	// incumbent cost, root lower bound) for the serving layer's introspection
@@ -370,19 +370,14 @@ func partition(s *spec.Spec, p Params) (on, off []spec.BasicGroup) {
 	return on, off
 }
 
-// Assign computes a full memory organization with the given number of
+// AssignContext computes a full memory organization with the given number of
 // on-chip memories. Off-chip groups are packed into catalog devices by
-// exhaustive partition search (there are only a few large groups).
-func Assign(s *spec.Spec, pats []sbd.Pattern, tech *memlib.Tech, onChipCount int, p Params) (*Assignment, error) {
-	return AssignContext(context.Background(), s, pats, tech, onChipCount, p)
-}
-
-// AssignContext is Assign with deadline and cancellation support. The search
-// is *anytime*: when ctx expires or is canceled, the best incumbent found so
-// far is returned (the greedy first-fit incumbent guarantees one exists for
-// every feasible problem) with Optimal=false, never an error. Cancellation
-// is polled every cancelCheckInterval search nodes, so an uncancellable
-// context costs nothing in the hot loop.
+// exhaustive partition search (there are only a few large groups). The
+// search is *anytime*: when ctx expires or is canceled, the best incumbent
+// found so far is returned (the greedy first-fit incumbent guarantees one
+// exists for every feasible problem) with Optimal=false, never an error.
+// Cancellation is polled every cancelCheckInterval search nodes, so an
+// uncancellable context costs nothing in the hot loop.
 func AssignContext(ctx context.Context, s *spec.Spec, pats []sbd.Pattern, tech *memlib.Tech, onChipCount int, p Params) (*Assignment, error) {
 	p.normalize()
 	if onChipCount < 1 {
@@ -671,7 +666,7 @@ func Greedy(s *spec.Spec, pats []sbd.Pattern, tech *memlib.Tech, onChipCount int
 	p.normalize()
 	saveNB := p.NodeBudget
 	p.NodeBudget = 1 // force the search to stop immediately after greedy
-	a, err := Assign(s, pats, tech, onChipCount, p)
+	a, err := AssignContext(context.Background(), s, pats, tech, onChipCount, p)
 	p.NodeBudget = saveNB
 	if err != nil {
 		return nil, err
@@ -680,16 +675,11 @@ func Greedy(s *spec.Spec, pats []sbd.Pattern, tech *memlib.Tech, onChipCount int
 	return a, nil
 }
 
-// Sweep evaluates a range of on-chip allocation sizes (Table 4's axis) and
-// returns one assignment per count, skipping infeasible counts.
-func Sweep(s *spec.Spec, pats []sbd.Pattern, tech *memlib.Tech, counts []int, p Params) ([]*Assignment, []int, error) {
-	return SweepContext(context.Background(), s, pats, tech, counts, p)
-}
-
-// SweepContext is Sweep with deadline and cancellation support: once the
-// context is done and at least one count has been evaluated, no further
-// counts are launched (each evaluated count itself degrades to its greedy
-// incumbent under an expired context, so the sweep drains quickly).
+// SweepContext evaluates a range of on-chip allocation sizes (Table 4's
+// axis) and returns one assignment per count, skipping infeasible counts.
+// Once the context is done and at least one count has been evaluated, no
+// further counts are launched (each evaluated count itself degrades to its
+// greedy incumbent under an expired context, so the sweep drains quickly).
 func SweepContext(ctx context.Context, s *spec.Spec, pats []sbd.Pattern, tech *memlib.Tech, counts []int, p Params) ([]*Assignment, []int, error) {
 	var out []*Assignment
 	var okCounts []int

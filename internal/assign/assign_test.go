@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -38,7 +39,7 @@ func mixedSpec(t *testing.T) *spec.Spec {
 func TestAssignBasic(t *testing.T) {
 	s := mixedSpec(t)
 	tech := memlib.Default()
-	a, err := Assign(s, nil, tech, 2, Params{})
+	a, err := AssignContext(context.Background(), s, nil, tech, 2, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestOptimalNotWorseThanGreedy(t *testing.T) {
 	s := mixedSpec(t)
 	tech := memlib.Default()
 	for _, n := range []int{1, 2, 3, 4} {
-		opt, err := Assign(s, nil, tech, n, Params{})
+		opt, err := AssignContext(context.Background(), s, nil, tech, n, Params{})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -98,11 +99,11 @@ func TestBitwidthWasteSeparation(t *testing.T) {
 	s := b.MustBuild()
 	tech := memlib.Default()
 
-	one, err := Assign(s, nil, tech, 1, Params{})
+	one, err := AssignContext(context.Background(), s, nil, tech, 1, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := Assign(s, nil, tech, 2, Params{})
+	two, err := AssignContext(context.Background(), s, nil, tech, 2, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,18 +133,18 @@ func TestConflictsForceSeparation(t *testing.T) {
 	pats := []sbd.Pattern{{Access: map[string]int{"a": 1, "b": 1}, Weight: 1000}}
 	tech := memlib.Default()
 
-	a2, err := Assign(s, pats, tech, 2, Params{MaxPorts: 1})
+	a2, err := AssignContext(context.Background(), s, pats, tech, 2, Params{MaxPorts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a2.GroupMem["a"] == a2.GroupMem["b"] {
 		t.Fatal("conflicting groups share a 1-port memory")
 	}
-	if _, err := Assign(s, pats, tech, 1, Params{MaxPorts: 1}); err == nil {
+	if _, err := AssignContext(context.Background(), s, pats, tech, 1, Params{MaxPorts: 1}); err == nil {
 		t.Fatal("1 memory with MaxPorts 1 should be infeasible")
 	}
 	// With 2 ports allowed, one memory becomes feasible but dual-ported.
-	a1, err := Assign(s, pats, tech, 1, Params{MaxPorts: 2})
+	a1, err := AssignContext(context.Background(), s, pats, tech, 1, Params{MaxPorts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestSelfConflictForcesMultiport(t *testing.T) {
 	b.Read("a", 1)
 	s := b.MustBuild()
 	pats := []sbd.Pattern{{Access: map[string]int{"a": 2}, Weight: 1000}}
-	a, err := Assign(s, pats, memlib.Default(), 1, Params{})
+	a, err := AssignContext(context.Background(), s, pats, memlib.Default(), 1, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestOffChipMergedWidthRounding(t *testing.T) {
 	b.Loop("l", 1000)
 	b.Read("merged", 1)
 	s := b.MustBuild()
-	a, err := Assign(s, nil, memlib.Default(), 1, Params{})
+	a, err := AssignContext(context.Background(), s, nil, memlib.Default(), 1, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,12 +197,12 @@ func TestOffChipPortPenalty(t *testing.T) {
 	b.Read("img", 5)
 	s := b.MustBuild()
 	tech := memlib.Default()
-	p1, err := Assign(s, nil, tech, 1, Params{})
+	p1, err := AssignContext(context.Background(), s, nil, tech, 1, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pats := []sbd.Pattern{{Access: map[string]int{"img": 2}, Weight: 1_000_000}}
-	p2, err := Assign(s, pats, tech, 1, Params{})
+	p2, err := AssignContext(context.Background(), s, pats, tech, 1, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestSweepShapes(t *testing.T) {
 	tech := memlib.Default()
 
 	counts := []int{1, 2, 4, 6, 8, 10}
-	as, ok, err := Sweep(s, nil, tech, counts, Params{})
+	as, ok, err := SweepContext(context.Background(), s, nil, tech, counts, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func groupName(i int) string {
 
 func TestAssignInvalidCount(t *testing.T) {
 	s := mixedSpec(t)
-	if _, err := Assign(s, nil, memlib.Default(), 0, Params{}); err == nil {
+	if _, err := AssignContext(context.Background(), s, nil, memlib.Default(), 0, Params{}); err == nil {
 		t.Fatal("zero on-chip count accepted")
 	}
 }
@@ -277,7 +278,7 @@ func TestUnaccessedGroupIgnored(t *testing.T) {
 	b.Loop("l", 10)
 	b.Read("live", 1)
 	s := b.MustBuild()
-	a, err := Assign(s, nil, memlib.Default(), 4, Params{})
+	a, err := AssignContext(context.Background(), s, nil, memlib.Default(), 4, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func TestNodeBudgetFallsBackToGreedy(t *testing.T) {
 		if workers > 0 {
 			wp = pool.New(workers)
 		}
-		a, err := Assign(s, nil, memlib.Default(), 3, Params{NodeBudget: 1, Workers: wp})
+		a, err := AssignContext(context.Background(), s, nil, memlib.Default(), 3, Params{NodeBudget: 1, Workers: wp})
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
@@ -326,11 +327,11 @@ func TestInPlaceSharesStorage(t *testing.T) {
 	s := b.MustBuild()
 	tech := memlib.Default()
 
-	plain, err := Assign(s, nil, tech, 1, Params{})
+	plain, err := AssignContext(context.Background(), s, nil, tech, 1, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ip, err := Assign(s, nil, tech, 1, Params{InPlace: true})
+	ip, err := AssignContext(context.Background(), s, nil, tech, 1, Params{InPlace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +360,7 @@ func TestInPlaceOverlappingLifetimesNoSharing(t *testing.T) {
 	b.Read("x", 1)
 	b.Read("y", 1)
 	s := b.MustBuild()
-	ip, err := Assign(s, nil, memlib.Default(), 1, Params{InPlace: true})
+	ip, err := AssignContext(context.Background(), s, nil, memlib.Default(), 1, Params{InPlace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +384,7 @@ func TestInPlaceSearchStateRestoration(t *testing.T) {
 	b.Loop("p3", 100)
 	b.Read("c", 1)
 	s := b.MustBuild()
-	full, err := Assign(s, nil, memlib.Default(), 2, Params{InPlace: true})
+	full, err := AssignContext(context.Background(), s, nil, memlib.Default(), 2, Params{InPlace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +492,7 @@ func TestBranchAndBoundMatchesBruteForce(t *testing.T) {
 		}
 		for _, mem := range []int{1, 2, 3} {
 			want, feasible := bruteForceOnChip(t, s, pats, tech, mem, Params{})
-			a, err := Assign(s, pats, tech, mem, Params{})
+			a, err := AssignContext(context.Background(), s, pats, tech, mem, Params{})
 			if !feasible {
 				if err == nil {
 					t.Fatalf("seed %d mem %d: brute force infeasible but Assign succeeded", seed, mem)
@@ -532,7 +533,7 @@ func TestInterconnectMakesPowerMinimumInterior(t *testing.T) {
 	tech := memlib.Default().WithInterconnect()
 
 	counts := []int{1, 2, 4, 6, 8, 10, 12}
-	as, ok, err := Sweep(s, nil, tech, counts, Params{})
+	as, ok, err := SweepContext(context.Background(), s, nil, tech, counts, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +551,7 @@ func TestInterconnectMakesPowerMinimumInterior(t *testing.T) {
 		t.Fatalf("power minimum at boundary (count %d): %v over %v", ok[minIdx], powers, ok)
 	}
 	// Without the bus model the same sweep is monotone to the end.
-	plain, _, err := Sweep(s, nil, memlib.Default(), counts, Params{})
+	plain, _, err := SweepContext(context.Background(), s, nil, memlib.Default(), counts, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,7 +583,7 @@ func TestBusModel(t *testing.T) {
 
 func TestBindingNames(t *testing.T) {
 	s := mixedSpec(t)
-	a, err := Assign(s, nil, memlib.Default(), 2, Params{})
+	a, err := AssignContext(context.Background(), s, nil, memlib.Default(), 2, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

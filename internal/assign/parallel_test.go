@@ -64,10 +64,10 @@ func TestParallelAssignMatchesSequential(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		s, pats := randomInstance(seed)
 		for _, count := range []int{1, 2, 3} {
-			ref, refErr := Assign(s, pats, tech, count, Params{})
+			ref, refErr := AssignContext(context.Background(), s, pats, tech, count, Params{})
 			for _, workers := range []int{1, 2, 8} {
 				p := Params{Workers: pool.New(workers)}
-				got, err := Assign(s, pats, tech, count, p)
+				got, err := AssignContext(context.Background(), s, pats, tech, count, p)
 				if (refErr == nil) != (err == nil) {
 					t.Fatalf("seed %d count %d workers %d: err %v, sequential err %v",
 						seed, count, workers, err, refErr)
@@ -119,7 +119,7 @@ func TestParallelAssignCounters(t *testing.T) {
 	tech := memlib.Default()
 	o := obs.New()
 	sp := o.Start("test")
-	_, err := Assign(s, pats, tech, 2, Params{Workers: pool.New(8), Obs: sp})
+	_, err := AssignContext(context.Background(), s, pats, tech, 2, Params{Workers: pool.New(8), Obs: sp})
 	sp.End()
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func TestParallelMatchesBruteForce(t *testing.T) {
 		}
 		for _, mem := range []int{2, 3} {
 			want, feasible := bruteForceOnChip(t, s, pats, tech, mem, Params{})
-			a, err := Assign(s, pats, tech, mem, Params{Workers: pool.New(8)})
+			a, err := AssignContext(context.Background(), s, pats, tech, mem, Params{Workers: pool.New(8)})
 			if !feasible {
 				if err == nil {
 					t.Fatalf("seed %d mem %d: brute force infeasible but Assign succeeded", seed, mem)

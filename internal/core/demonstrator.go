@@ -69,20 +69,15 @@ type Demonstrator struct {
 // exactly the paper's §4.1 flow (manual pruning skeleton + automatic
 // instrumentation counts).
 func BuildDemonstrator(cfg DemoConfig) (*Demonstrator, error) {
-	return buildDemonstratorObs(cfg, nil)
+	return buildDemonstratorObsContext(context.Background(), cfg, nil)
 }
 
-// buildDemonstratorObs is BuildDemonstrator with telemetry: the profiling
-// encode, the reuse analysis, and the spec derivation each get a child span
-// under parent (nil parent disables all of it).
-func buildDemonstratorObs(cfg DemoConfig, parent *obs.Span) (*Demonstrator, error) {
-	return buildDemonstratorObsContext(context.Background(), cfg, parent)
-}
-
-// buildDemonstratorObsContext adds cancellation support: the reuse analysis
-// truncates its trace when ctx expires. The profiling encode itself is not
-// cancelable (the codec has no cancellation points); use small image sizes
-// when operating under tight deadlines.
+// buildDemonstratorObsContext is BuildDemonstrator with telemetry and
+// cancellation: the profiling encode, the reuse analysis, and the spec
+// derivation each get a child span under parent (nil parent disables all of
+// it), and the reuse analysis truncates its trace when ctx expires. The
+// profiling encode itself is not cancelable (the codec has no cancellation
+// points); use small image sizes when operating under tight deadlines.
 func buildDemonstratorObsContext(ctx context.Context, cfg DemoConfig, parent *obs.Span) (*Demonstrator, error) {
 	cfg.normalize()
 	rec := trace.NewRecorder()

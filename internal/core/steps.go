@@ -63,7 +63,7 @@ type EvalParams struct {
 // startSpan opens a telemetry span for one pipeline stage: a child of the
 // current parent when one is set, else a root span on the observer. The
 // returned EvalParams copy carries the new span as parent, so nested
-// Evaluate calls nest their spans underneath. Nil-safe throughout.
+// EvaluateContext calls nest their spans underneath. Nil-safe throughout.
 func (ep EvalParams) startSpan(name string) (*obs.Span, EvalParams) {
 	var sp *obs.Span
 	if ep.Span != nil {
@@ -129,19 +129,14 @@ type Variant struct {
 	Cost  assign.Cost
 }
 
-// Evaluate runs the physical memory management stage on a specification:
-// storage cycle budget distribution followed by allocation and assignment.
-// If the requested allocation is infeasible (the conflict structure demands
-// more memories), nearby larger allocations are tried.
-func Evaluate(s *spec.Spec, budget uint64, label string, ep EvalParams) (*Variant, error) {
-	return EvaluateContext(context.Background(), s, budget, label, ep)
-}
-
-// EvaluateContext is Evaluate with deadline and cancellation support. The
-// evaluation is *anytime*: under an expired context both stages degrade
-// (sbd commits minimum-budget schedules, assign returns its greedy
-// incumbent with Optimal=false) rather than erroring, so a feasible
-// specification always yields a valid — if conservative — cost estimate.
+// EvaluateContext runs the physical memory management stage on a
+// specification: storage cycle budget distribution followed by allocation
+// and assignment. If the requested allocation is infeasible (the conflict
+// structure demands more memories), nearby larger allocations are tried. The
+// evaluation is *anytime*: under an expired context both stages degrade (sbd
+// commits minimum-budget schedules, assign returns its greedy incumbent with
+// Optimal=false) rather than erroring, so a feasible specification always
+// yields a valid — if conservative — cost estimate.
 func EvaluateContext(ctx context.Context, s *spec.Spec, budget uint64, label string, ep EvalParams) (*Variant, error) {
 	sp, ep := ep.startSpan("evaluate")
 	defer sp.End()
@@ -192,16 +187,11 @@ func EvaluateContext(ctx context.Context, s *spec.Spec, budget uint64, label str
 	return &Variant{Label: label, Spec: s, Dist: dist, Asgn: asgn, Cost: asgn.Cost}, nil
 }
 
-// ExploreStructuring evaluates the basic group structuring alternatives of
-// §4.3 (Table 1): untouched, ridge compacted, and ridge+pyr merged.
-func ExploreStructuring(d *Demonstrator, ep EvalParams) ([]*Variant, error) {
-	return ExploreStructuringContext(context.Background(), d, ep)
-}
-
-// ExploreStructuringContext is ExploreStructuring with cancellation support:
-// the untouched variant is always evaluated (it is the baseline every other
-// step can fall back to); under an expired context the structured
-// alternatives are skipped.
+// ExploreStructuringContext evaluates the basic group structuring
+// alternatives of §4.3 (Table 1): untouched, ridge compacted, and ridge+pyr
+// merged. The untouched variant is always evaluated (it is the baseline
+// every other step can fall back to); under an expired context the
+// structured alternatives are skipped.
 func ExploreStructuringContext(ctx context.Context, d *Demonstrator, ep EvalParams) ([]*Variant, error) {
 	sp, ep := ep.startSpan("step.structuring")
 	defer sp.End()
@@ -250,14 +240,9 @@ func HierarchyLayers(size int) (ylocal, yhier reuse.Layer) {
 	return reuse.Layer{Name: "ylocal", Words: 12}, reuse.Layer{Name: "yhier", Words: words}
 }
 
-// ExploreHierarchy evaluates the four memory-hierarchy alternatives of
-// §4.4 (Table 2) on the given (already structured) specification.
-func ExploreHierarchy(s *spec.Spec, d *Demonstrator, ep EvalParams) ([]*Variant, []*reuse.Hierarchy, error) {
-	return ExploreHierarchyContext(context.Background(), s, d, ep)
-}
-
-// ExploreHierarchyContext is ExploreHierarchy with cancellation support:
-// candidates not launched before the context expired are dropped from the
+// ExploreHierarchyContext evaluates the four memory-hierarchy alternatives
+// of §4.4 (Table 2) on the given (already structured) specification.
+// Candidates not launched before the context expired are dropped from the
 // result (the no-hierarchy baseline is always evaluated).
 func ExploreHierarchyContext(ctx context.Context, s *spec.Spec, d *Demonstrator, ep EvalParams) ([]*Variant, []*reuse.Hierarchy, error) {
 	sp, ep := ep.startSpan("step.hierarchy")
@@ -323,32 +308,22 @@ type BudgetPoint struct {
 	Extra  uint64 // cycles left for data-path scheduling (vs. the full budget)
 }
 
-// ExploreBudgets sweeps the storage cycle budget downward from the
+// ExploreBudgetsContext sweeps the storage cycle budget downward from the
 // real-time maximum (§4.5, Table 3). The sweep stops when the budget drops
-// below the weighted MACP.
-func ExploreBudgets(s *spec.Spec, fullBudget uint64, ep EvalParams) ([]*BudgetPoint, error) {
-	return ExploreBudgetsContext(context.Background(), s, fullBudget, ep)
-}
-
-// ExploreBudgetsContext is ExploreBudgets with cancellation support: budget
-// points not launched before the context expired are dropped (the full
-// budget — the sweep's reference row — is always evaluated).
+// below the weighted MACP. Budget points not launched before the context
+// expired are dropped (the full budget — the sweep's reference row — is
+// always evaluated).
 func ExploreBudgetsContext(ctx context.Context, s *spec.Spec, fullBudget uint64, ep EvalParams) ([]*BudgetPoint, error) {
 	fracs := []float64{1.0, 0.95, 0.90, 0.85, 0.82, 0.80, 0.78, 0.75, 0.72, 0.70, 0.68}
 	return budgetSweep(ctx, s, fullBudget, fracs, ep)
 }
 
-// ExploreBudgetsPipelined extends the Table 3 sweep below the dependence
-// critical path by enabling software pipelining: iterations overlap, so
-// ever-tighter initiation intervals remain schedulable — at the price of
-// off-chip access overlap, which is where the paper's off-chip power jump
-// at the tightest budget comes from.
-func ExploreBudgetsPipelined(s *spec.Spec, fullBudget uint64, ep EvalParams) ([]*BudgetPoint, error) {
-	return ExploreBudgetsPipelinedContext(context.Background(), s, fullBudget, ep)
-}
-
-// ExploreBudgetsPipelinedContext is ExploreBudgetsPipelined with
-// cancellation support (see ExploreBudgetsContext).
+// ExploreBudgetsPipelinedContext extends the Table 3 sweep below the
+// dependence critical path by enabling software pipelining: iterations
+// overlap, so ever-tighter initiation intervals remain schedulable — at the
+// price of off-chip access overlap, which is where the paper's off-chip
+// power jump at the tightest budget comes from. Cancellation works as in
+// ExploreBudgetsContext.
 func ExploreBudgetsPipelinedContext(ctx context.Context, s *spec.Spec, fullBudget uint64, ep EvalParams) ([]*BudgetPoint, error) {
 	ep.SBD.Pipelined = true
 	fracs := []float64{0.68, 0.60, 0.52, 0.45, 0.40, 0.34, 0.30, 0.26, 0.22}
@@ -411,15 +386,9 @@ func ChooseBudget(points []*BudgetPoint, powerTol, areaTol float64) *BudgetPoint
 	return best
 }
 
-// ExploreAllocations sweeps the number of allocated on-chip memories
-// (§4.6, Table 4) at a fixed budget distribution.
-func ExploreAllocations(s *spec.Spec, dist *sbd.Distribution, counts []int, ep EvalParams) ([]*Variant, []int, error) {
-	return ExploreAllocationsContext(context.Background(), s, dist, counts, ep)
-}
-
-// ExploreAllocationsContext is ExploreAllocations with cancellation support:
-// counts not launched before the context expired are dropped (the first
-// count is always evaluated).
+// ExploreAllocationsContext sweeps the number of allocated on-chip memories
+// (§4.6, Table 4) at a fixed budget distribution. Counts not launched before
+// the context expired are dropped (the first count is always evaluated).
 func ExploreAllocationsContext(ctx context.Context, s *spec.Spec, dist *sbd.Distribution, counts []int, ep EvalParams) ([]*Variant, []int, error) {
 	sp, ep := ep.startSpan("step.allocation")
 	defer sp.End()

@@ -16,18 +16,14 @@ import (
 	"repro/internal/spec"
 )
 
-// TopoOrder returns the access IDs of l in a topological order of the
-// dependence DAG. The spec is assumed validated (acyclic).
-func TopoOrder(l *spec.Loop) []int {
-	return TopoOrderScratch(l, nil)
-}
-
-// TopoOrderScratch is TopoOrder with all working state (and the returned
-// order itself) carved from the arena, so the budget-distribution inner
-// loop — which re-derives orders constantly — allocates nothing. The
-// returned slice is only valid until the arena is reset; pass a nil arena
-// for plain heap allocation. The successor lists are built in flat CSR form
-// (one edge array plus offsets) instead of per-node slices.
+// TopoOrderScratch returns the access IDs of l in a topological order of the
+// dependence DAG. The spec is assumed validated (acyclic). All working state
+// (and the returned order itself) is carved from the arena, so the
+// budget-distribution inner loop — which re-derives orders constantly —
+// allocates nothing. The returned slice is only valid until the arena is
+// reset; pass a nil arena for plain heap allocation. The successor lists are
+// built in flat CSR form (one edge array plus offsets) instead of per-node
+// slices.
 func TopoOrderScratch(l *spec.Loop, a *scratch.Arena) []int {
 	n := len(l.Accesses)
 	edges := 0
@@ -143,7 +139,7 @@ func Windows(l *spec.Loop, budget int) ([]Window, error) {
 	}
 	n := len(l.Accesses)
 	win := make([]Window, n)
-	order := TopoOrder(l)
+	order := TopoOrderScratch(l, nil)
 	// ASAP forward pass.
 	for _, id := range order {
 		asap := 0

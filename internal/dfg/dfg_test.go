@@ -87,7 +87,7 @@ func TestMACPSumsLoops(t *testing.T) {
 
 func TestTopoOrderRespectsDeps(t *testing.T) {
 	s := diamondLoop(t)
-	order := TopoOrder(&s.Loops[0])
+	order := TopoOrderScratch(&s.Loops[0], nil)
 	pos := make(map[int]int)
 	for i, id := range order {
 		pos[id] = i

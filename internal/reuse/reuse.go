@@ -40,15 +40,10 @@ type Profile struct {
 // meaningful on-chip copy layers anyway.
 const maxTracked = 1 << 17
 
-// AnalyzeObserved is Analyze with telemetry: it wraps the stack-distance
-// computation in a "reuse.analyze" span under parent, recording the trace
-// length and cold-miss count. A nil parent reduces to plain Analyze.
-func AnalyzeObserved(addrs []int32, parent *obs.Span) *Profile {
-	return AnalyzeObservedContext(context.Background(), addrs, parent)
-}
-
-// AnalyzeObservedContext is AnalyzeObserved with cancellation support (see
-// AnalyzeContext for the truncation semantics).
+// AnalyzeObservedContext is AnalyzeContext with telemetry: it wraps the
+// stack-distance computation in a "reuse.analyze" span under parent,
+// recording the trace length and cold-miss count. A nil parent reduces to
+// plain AnalyzeContext.
 func AnalyzeObservedContext(ctx context.Context, addrs []int32, parent *obs.Span) *Profile {
 	sp := parent.Child("reuse.analyze")
 	defer sp.End()

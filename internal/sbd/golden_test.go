@@ -2,6 +2,7 @@ package sbd
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -103,8 +104,8 @@ type balanceRecord struct {
 	Err        string `json:"err,omitempty"`
 }
 
-// TestBalanceLoopGolden pins BalanceLoop on seeded random loop bodies,
-// linear and pipelined, down to the bits of WeightedCost and
+// TestBalanceLoopGolden pins BalanceLoopContext on seeded random loop
+// bodies, linear and pipelined, down to the bits of WeightedCost and
 // StructuralCost: the running cost sum's rounding reaches the tie-breaks, so
 // any change to the order of cost arithmetic shows here. Regenerate with
 // `go test ./internal/sbd -run BalanceLoopGolden -update` only for a
@@ -113,7 +114,7 @@ func TestBalanceLoopGolden(t *testing.T) {
 	var got bytes.Buffer
 	for i, gc := range goldenCases() {
 		rec := balanceRecord{Case: i / 2, Pipelined: gc.p.Pipelined, Budget: gc.budget}
-		sc, err := BalanceLoop(gc.loop, gc.groups, gc.budget, gc.p)
+		sc, err := BalanceLoopContext(context.Background(), gc.loop, gc.groups, gc.budget, gc.p)
 		if err != nil {
 			rec.Err = err.Error()
 		} else {

@@ -2,6 +2,7 @@ package dtse
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -80,7 +81,7 @@ func TestServerSpecExplore(t *testing.T) {
 		t.Fatalf("no variant in response: %s", body)
 	}
 
-	want, err := Explore(s, budget, DefaultParams())
+	want, err := Explore(context.Background(), s, budget, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
