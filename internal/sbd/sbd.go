@@ -39,6 +39,10 @@ import (
 	"repro/internal/spec"
 )
 
+// balancePasses bounds the local-search improvement passes of
+// BalanceLoopContext.
+const balancePasses = 4
+
 // Params configures the balancer and the cost model it optimizes.
 type Params struct {
 	// OnChipMaxWords separates on-chip from off-chip groups for the access
@@ -47,8 +51,6 @@ type Params struct {
 	// OffChipCycles is the duration of one off-chip access in storage
 	// cycles (an EDO DRAM access spans multiple 20 MHz cycles). Default 2.
 	OffChipCycles int
-	// Passes bounds the local-search improvement passes. Default 4.
-	Passes int
 	// StructuralWeight scales the iteration-independent conflict term (see
 	// StructuralWeight constant). Negative disables it; zero selects the
 	// default.
@@ -81,9 +83,6 @@ func (p *Params) normalize() {
 	}
 	if p.OffChipCycles == 0 {
 		p.OffChipCycles = 2
-	}
-	if p.Passes == 0 {
-		p.Passes = 4
 	}
 	if p.StructuralWeight == 0 {
 		p.StructuralWeight = StructuralWeight
@@ -196,7 +195,7 @@ func appendLoopFingerprint(dst []byte, l *spec.Loop, groups map[string]spec.Basi
 	dst = append(dst, " oc="...)
 	dst = strconv.AppendInt(dst, int64(p.OffChipCycles), 10)
 	dst = append(dst, " ps="...)
-	dst = strconv.AppendInt(dst, int64(p.Passes), 10)
+	dst = strconv.AppendInt(dst, balancePasses, 10)
 	dst = append(dst, " sw="...)
 	dst = strconv.AppendFloat(dst, p.StructuralWeight, 'g', -1, 64)
 	dst = append(dst, " pl="...)
@@ -274,12 +273,6 @@ func appendPatternsFP(dst []byte, pats []Pattern, names []string) ([]byte, []str
 		dst = append(dst, '|')
 	}
 	return dst, names
-}
-
-// FingerprintPatterns is the string form of appendPatternsFP.
-func FingerprintPatterns(pats []Pattern) string {
-	b, _ := appendPatternsFP(nil, pats, nil)
-	return string(b)
 }
 
 // StructuralWeight converts a schedule's structural conflict severity (the
@@ -808,7 +801,7 @@ func BalanceLoopContext(ctx context.Context, l *spec.Loop, groups map[string]spe
 	done := ctx.Done()
 	passes, moves := 0, 0
 	degraded := false
-	for pass := 0; pass < p.Passes; pass++ {
+	for pass := 0; pass < balancePasses; pass++ {
 		if done != nil {
 			select {
 			case <-done:
