@@ -16,11 +16,10 @@ package dtse
 // over POST /v1/internal/handoff. The receiver gates every import on its
 // own live ring — it only accepts keys it owns right now — so a racing
 // topology change degrades to a dropped warm-up, never a mis-sharded
-// cache. The gossip exchange doubles as the
-// health prober: a reachable member revives its Router ejection state
-// (PeerOK), an unreachable one feeds it (PeerFail), which is what rejoins a
-// recovered peer now that the serving path's half-open probe admits only
-// one caller.
+// cache. The gossip exchange doubles as the health prober: a reachable
+// member revives its Router ejection state (PeerOK), an unreachable one
+// feeds it (PeerFail), which is what rejoins a recovered peer now that the
+// serving path's half-open probe admits only one caller.
 
 import (
 	"bytes"
@@ -249,10 +248,10 @@ type handoffWire struct {
 // maxHandoffBody bounds a handoff read on the receiving side.
 const maxHandoffBody = 256 << 20
 
-// runHandoff streams every cached record whose route
-// fingerprint this node owned under old but does not own under new to the
-// key's new owner. Purely best-effort warm-up: a failed stream costs the
-// receiver cache misses, never correctness.
+// runHandoff streams every cached record whose route fingerprint this node
+// owned under old but does not own under new to the key's new owner.
+// Purely best-effort warm-up: a failed stream costs the receiver cache
+// misses, never correctness.
 func (s *Server) runHandoff(old, next *cluster.Ring) {
 	self := s.cluster.router.Self()
 	moved := func(key uint64) (string, bool) {

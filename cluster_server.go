@@ -5,10 +5,10 @@ package dtse
 // request. A request whose canonical fingerprint hashes to a peer is
 // forwarded there (with hedged retries down the ring walk, see
 // internal/cluster), so each node's session cache and disk tier stay hot
-// for its shard of the keyspace. When the owner is down or
-// slow the request falls through to the next ring member, and when no peer
-// can answer the receiving node serves it locally — a dead cluster
-// degrades to N independent single nodes, never to failed requests.
+// for its shard of the keyspace. When the owner is down or slow the
+// request falls through to the next ring member, and when no peer can
+// answer the receiving node serves it locally — a dead cluster degrades to
+// N independent single nodes, never to failed requests.
 //
 // Forwarded requests carry an internal header and are served where they
 // land, never re-forwarded, so no request loops are possible. Each request
@@ -130,7 +130,7 @@ func (s *Server) JoinCluster(opts ClusterOptions) error {
 // routeKey is the consistent-hash routing fingerprint. Spec requests hash
 // the canonical spec JSON alone — not the full dedup key — so budget and
 // knob variants of one spec co-locate on one node and share its cached
-// loop patterns. Demo requests have no canon and hash the dedup key.
+// per-loop schedules. Demo requests have no canon and hash the dedup key.
 func routeKey(p *parsedRequest) uint64 {
 	if p.mode == "spec" {
 		return memo.Fingerprint64(p.canon)

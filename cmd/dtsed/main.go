@@ -17,9 +17,9 @@
 // accepts any request, routes it to the consistent-hash owner of its
 // canonical fingerprint (so each node's caches stay hot for its shard),
 // hedges to the next ring node when the owner is slower than its p99
-// (-hedge-ms floors the delay), and ejects unhealthy peers. Each
-// request is computed whole on one node, so responses are byte-identical
-// at any node count.
+// (-hedge-ms floors the delay), and ejects unhealthy peers. Each request
+// is computed whole on one node, so responses are byte-identical at any
+// node count.
 //
 // Membership is dynamic: -join URLs are seed nodes handshaked once the
 // listener is up — the seed's digest supplies the rest of the member set,
@@ -29,15 +29,15 @@
 // while incarnation numbers let a live member refute stale claims about
 // itself. On any ring change the node streams the cached records it no
 // longer owns to their new owner (/v1/internal/handoff), so rebalanced
-// shards start hot. On shutdown the
-// daemon announces its departure and hands its shard over before draining.
+// shards start hot. On shutdown the daemon announces its departure and
+// hands its shard over before draining.
 //
 // With -cache-dir the daemon keeps a disk-backed second cache tier: every
 // completed response is appended (write-behind, checksummed) to
 // DIR/cache.log and survives restarts — a fresh process answers previously
-// seen requests byte-identically from disk. -cache-bytes caps each in-memory
-// keyspace, evicting cold entries CLOCK-wise; the disk tier still holds
-// everything appended.
+// seen requests byte-identically from disk. -cache-bytes caps each
+// in-memory keyspace, evicting cold entries CLOCK-wise; the disk tier
+// still holds everything appended.
 //
 // Endpoints:
 //
